@@ -13,7 +13,6 @@ package specrt_test
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http/httptest"
 	"runtime"
@@ -476,45 +475,6 @@ func BenchmarkAblationWideOcean1024Coarse(b *testing.B) {
 
 func BenchmarkAblationWideGen1024Mesh(b *testing.B) {
 	benchWideCell(b, "gen", 1024, directory.FullMap, interconnect.Mesh)
-}
-
-// BenchmarkAblationWideSharded is the intra-run sharding headline: the
-// same 1024-processor Ocean mesh cell as BenchmarkAblationWideOcean1024Mesh,
-// driven by the windowed executor at K=4. Results are byte-identical to
-// the unsharded cell; only the time may differ, and the EXPERIMENTS
-// "Intra-run sharding" table tracks the ratio.
-func BenchmarkAblationWideSharded(b *testing.B) {
-	h := harness.New(harness.Quick)
-	h.Shards = 4
-	h.WideCell("Ocean", 1024, directory.FullMap, interconnect.Mesh)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := h.WideCell("Ocean", 1024, directory.FullMap, interconnect.Mesh)
-		if r.Cycles == 0 {
-			b.Fatal("no cycles")
-		}
-	}
-}
-
-// BenchmarkAblationWideShardedLadder sweeps the shard count on the same
-// cell (K=1 is the engine-only executor) for the EXPERIMENTS
-// "Intra-run sharding" table. Host noise swamps single runs — interleave
-// the rungs and take medians (see the table's method note).
-func BenchmarkAblationWideShardedLadder(b *testing.B) {
-	for _, k := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
-			h := harness.New(harness.Quick)
-			h.Shards = k
-			h.WideCell("Ocean", 1024, directory.FullMap, interconnect.Mesh)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r := h.WideCell("Ocean", 1024, directory.FullMap, interconnect.Mesh)
-				if r.Cycles == 0 {
-					b.Fatal("no cycles")
-				}
-			}
-		})
-	}
 }
 
 func BenchmarkAblationWideLadder(b *testing.B) {

@@ -11,9 +11,7 @@
 // write pprof profiles for hot-path work. -nofastpath pins
 // per-instruction stepped execution — the batched fast path is exact,
 // so the output bytes do not change, only the wall-clock time (CI
-// asserts the identity every run). -shards K runs each simulation on
-// the windowed sharded executor (K shard queues merged in canonical
-// order); like -nofastpath it changes only wall-clock, never bytes.
+// asserts the identity every run).
 //
 // -topology selects the interconnect model (ideal reproduces the
 // paper's flat hop cost; bus, crossbar and mesh add link queueing; an
@@ -57,7 +55,6 @@ func main() {
 	dirFlag := flag.String("dirmode", "full-map", "directory sharer representation: full-map or coarse")
 	procsFlag := flag.Int("procs", 0, "wide command: largest processor count of the scaling ladder (0 = 1024); job command: processor count")
 	noFastPath := flag.Bool("nofastpath", false, "pin per-instruction stepped execution (disable the batched fast path; output is byte-identical either way)")
-	shardsFlag := flag.Int("shards", 0, "intra-simulation shard count for the windowed executor (0 or 1 = engine-only; output is byte-identical at every value)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	serverFlag := flag.String("server", "", "job command: specrtd base URL (empty = execute locally)")
@@ -99,7 +96,6 @@ func main() {
 	h.Placement = place
 	h.DirMode = dirMode
 	h.NoFastPath = *noFastPath
-	h.Shards = *shardsFlag
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -162,7 +158,6 @@ func main() {
 			DirMode:       *dirFlag,
 			Sched:         *schedFlag,
 			MaxExecutions: *maxExecFlag,
-			Shards:        *shardsFlag,
 		}
 		if err := runJob(out, req, *serverFlag, *tenantFlag, sc); err != nil {
 			fmt.Fprintln(os.Stderr, err)

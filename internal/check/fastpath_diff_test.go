@@ -35,7 +35,7 @@ type cpuOutcome struct {
 // execStream runs the stream's per-processor subsequences (each
 // processor's program order preserved, interleaving decided by the
 // simulated timing) on a fresh machine with the stream's protocol armed.
-func execStream(t *testing.T, s *Stream, fastPath bool, shards int) cpuOutcome {
+func execStream(t *testing.T, s *Stream, fastPath bool) cpuOutcome {
 	t.Helper()
 	if err := s.Validate(); err != nil {
 		t.Fatalf("invalid stream: %v", err)
@@ -54,14 +54,6 @@ func execStream(t *testing.T, s *Stream, fastPath bool, shards int) cpuOutcome {
 
 	sys := cpu.NewSystem(m, c)
 	sys.FastPath = fastPath
-	if shards > 1 {
-		// Windowed sharded executor with cohorts forced onto
-		// goroutines, so -race runs of this package sweep the
-		// concurrent path over every stream.
-		sys.Shards = shards
-		sys.WinParallel = true
-		sys.WinSpawn = true
-	}
 
 	perProc := make([][]cpu.Instr, s.Procs)
 	curIter := make([]int, s.Procs)
@@ -110,27 +102,10 @@ func execStream(t *testing.T, s *Stream, fastPath bool, shards int) cpuOutcome {
 // diffStream asserts batched and stepped execution of s are identical.
 func diffStream(t *testing.T, name string, s *Stream) {
 	t.Helper()
-	fast := execStream(t, s, true, 0)
-	slow := execStream(t, s, false, 0)
+	fast := execStream(t, s, true)
+	slow := execStream(t, s, false)
 	if !reflect.DeepEqual(fast, slow) {
 		t.Errorf("%s: batched and stepped outcomes differ\nbatched: %+v\nstepped: %+v", name, fast, slow)
-	}
-}
-
-// diffStreamSharded asserts the windowed sharded executor reproduces
-// the engine-only outcome of s exactly, batched and stepped, at several
-// shard counts (clamped to the stream's processor count).
-func diffStreamSharded(t *testing.T, name string, s *Stream) {
-	t.Helper()
-	for _, fastPath := range []bool{true, false} {
-		base := execStream(t, s, fastPath, 0)
-		for _, k := range []int{2, 4} {
-			got := execStream(t, s, fastPath, k)
-			if !reflect.DeepEqual(base, got) {
-				t.Errorf("%s: sharded (K=%d, fastPath=%t) outcome differs from engine-only\nsharded:     %+v\nengine-only: %+v",
-					name, k, fastPath, got, base)
-			}
-		}
 	}
 }
 
@@ -146,23 +121,6 @@ func TestFastPathFuzzStreamsDifferential(t *testing.T) {
 		for seed := uint64(100); seed < 104; seed++ {
 			s := Generate(seed, Scale{MaxProcs: 4, MaxElems: 32, MaxSteps: 48, Phase: phase})
 			diffStream(t, fmt.Sprintf("phase%d/seed=%d", phase, seed), s)
-		}
-	}
-}
-
-// TestShardedFuzzStreamsDifferential replays the same generated fuzz
-// streams through the windowed sharded executor at K ∈ {2,4} — cohorts
-// forced onto goroutines — and requires outcomes identical to the
-// engine-only executor. CI also runs this under -race.
-func TestShardedFuzzStreamsDifferential(t *testing.T) {
-	for seed := uint64(1); seed <= 20; seed++ {
-		s := Generate(seed, Scales[0])
-		diffStreamSharded(t, fmt.Sprintf("generated/seed=%d", seed), s)
-	}
-	for phase := 1; phase <= 3; phase++ {
-		for seed := uint64(100); seed < 104; seed++ {
-			s := Generate(seed, Scale{MaxProcs: 4, MaxElems: 32, MaxSteps: 48, Phase: phase})
-			diffStreamSharded(t, fmt.Sprintf("phase%d/seed=%d", phase, seed), s)
 		}
 	}
 }
@@ -220,12 +178,11 @@ func TestFastPathRaceMatrixDifferential(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			out := execStream(t, tc.s, true, 0)
+			out := execStream(t, tc.s, true)
 			if out.Aborted != tc.abort {
 				t.Fatalf("%s: aborted=%v, want %v (failure=%q)", tc.name, out.Aborted, tc.abort, out.Failure)
 			}
 			diffStream(t, tc.name, tc.s)
-			diffStreamSharded(t, tc.name, tc.s)
 		})
 	}
 }

@@ -73,32 +73,6 @@ func (c *Controller) TryWrite(p int, a mem.Addr) (sim.Time, bool) {
 	return lat, true
 }
 
-// ClassifyRead reports whether a read by p from a would be a pure hit
-// under the armed protocol (or the plain protocol when a is outside the
-// arrays under test), and the latency it would observe.
-func (c *Controller) ClassifyRead(p int, a mem.Addr) (sim.Time, bool) {
-	arr := c.lookupArmed(a)
-	if arr == nil {
-		return c.M.ClassifyRead(p, a)
-	}
-	if arr.Proto == NonPriv {
-		return c.npClassifyRead(arr, p, a)
-	}
-	return c.pvClassifyRead(arr, p, a)
-}
-
-// ClassifyWrite is ClassifyRead's store counterpart.
-func (c *Controller) ClassifyWrite(p int, a mem.Addr) (sim.Time, bool) {
-	arr := c.lookupArmed(a)
-	if arr == nil {
-		return c.M.ClassifyWrite(p, a)
-	}
-	if arr.Proto == NonPriv {
-		return c.npClassifyWrite(arr, p, a)
-	}
-	return c.pvClassifyWrite(arr, p, a)
-}
-
 // lookupBits finds a in p's hierarchy without promoting or counting and
 // returns the frame, the hit latency, and the access-bit word for word
 // index wi (zero when the line has no bit window yet, matching what

@@ -103,65 +103,6 @@ type Stats struct {
 	Failures          uint64
 }
 
-// SetParCells registers the per-shard diversion cells and processor-to-
-// shard map for concurrent pure cohorts; nils deregister. Diversion
-// only happens while ParOn(true).
-func (c *Controller) SetParCells(shardOf []int16, cells []ParCell) {
-	c.parShard, c.parCells = shardOf, cells
-}
-
-// ParOn toggles counter diversion into the shard cells. Must only be
-// flipped between accesses.
-func (c *Controller) ParOn(on bool) { c.parOn = on }
-
-// FoldParCells adds the shard cells into Stats in shard order and
-// clears them.
-func (c *Controller) FoldParCells() {
-	for i := range c.parCells {
-		cell := &c.parCells[i]
-		c.Stats.NonPrivReads += cell.NonPrivReads
-		c.Stats.NonPrivWrites += cell.NonPrivWrites
-		c.Stats.PrivReads += cell.PrivReads
-		c.Stats.PrivWrites += cell.PrivWrites
-		*cell = ParCell{}
-	}
-}
-
-// countNPRead and friends route one protocol counter increment to the
-// shared Stats or, during a concurrent cohort, to the processor's shard
-// cell.
-func (c *Controller) countNPRead(p int) {
-	if c.parOn {
-		c.parCells[c.parShard[p]].NonPrivReads++
-	} else {
-		c.Stats.NonPrivReads++
-	}
-}
-
-func (c *Controller) countNPWrite(p int) {
-	if c.parOn {
-		c.parCells[c.parShard[p]].NonPrivWrites++
-	} else {
-		c.Stats.NonPrivWrites++
-	}
-}
-
-func (c *Controller) countPVRead(p int) {
-	if c.parOn {
-		c.parCells[c.parShard[p]].PrivReads++
-	} else {
-		c.Stats.PrivReads++
-	}
-}
-
-func (c *Controller) countPVWrite(p int) {
-	if c.parOn {
-		c.parCells[c.parShard[p]].PrivWrites++
-	} else {
-		c.Stats.PrivWrites++
-	}
-}
-
 // Add folds another controller's counters into s (adaptive executions
 // aggregate their per-strategy controllers through here).
 func (s *Stats) Add(o Stats) {
@@ -268,26 +209,11 @@ func (a *Array) reset() {
 	}
 }
 
-// ParCell is one shard's accumulator for the per-protocol access
-// counters the classified-pure hit paths increment. It mirrors
-// machine.ParCell: during a concurrent same-cycle cohort each shard
-// counts into its own cell, and the cells fold back into Stats in shard
-// order afterwards (sums commute, so totals are byte-identical).
-type ParCell struct {
-	NonPrivReads, NonPrivWrites, PrivReads, PrivWrites uint64
-	_                                                  [4]uint64
-}
-
 // Controller is the per-machine speculation hardware.
 type Controller struct {
 	M      *machine.Machine
 	Stats  Stats
 	arrays []*Array
-
-	// Concurrent-cohort counter diversion; see ParCell.
-	parOn    bool
-	parShard []int16
-	parCells []ParCell
 
 	curIter []int32 // per-processor current iteration (1-based)
 	armed   bool

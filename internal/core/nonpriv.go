@@ -19,7 +19,7 @@ import (
 // npRead implements "Processor read" (Figure 6-(a)) and, on a miss, "Home
 // receives read request" (Figure 6-(b)).
 func (c *Controller) npRead(arr *Array, p int, a mem.Addr) (sim.Time, error) {
-	c.countNPRead(p)
+	c.Stats.NonPrivReads++
 	e := c.grain(arr.Region, arr.Region.ElemIndex(a))
 	wi := wordIndexOf(arr.Region, e, c.M.LineBytes())
 
@@ -73,7 +73,7 @@ func (c *Controller) npRead(arr *Array, p int, a mem.Addr) (sim.Time, error) {
 // npWrite implements "Processor write" (Figure 6-(c)) and, at the home,
 // "Home receives write request" (Figure 6-(d)).
 func (c *Controller) npWrite(arr *Array, p int, a mem.Addr) (sim.Time, error) {
-	c.countNPWrite(p)
+	c.Stats.NonPrivWrites++
 	e := c.grain(arr.Region, arr.Region.ElemIndex(a))
 	wi := wordIndexOf(arr.Region, e, c.M.LineBytes())
 	procLat := c.M.Cfg.Lat.L1Hit // writes do not stall the processor

@@ -19,7 +19,7 @@ import (
 // pvRead implements "Processor read" (Figure 8-(a)) with the private-
 // directory read path (Figure 8-(c)) on a miss, including read-in.
 func (c *Controller) pvRead(arr *Array, p int, a mem.Addr) (sim.Time, error) {
-	c.countPVRead(p)
+	c.Stats.PrivReads++
 	e := arr.Region.ElemIndex(a)
 	iter := c.curIter[p]
 	priv := arr.Priv[p]
@@ -89,7 +89,7 @@ func (c *Controller) pvRead(arr *Array, p int, a mem.Addr) (sim.Time, error) {
 // directory write path (Figure 9-(h)) on a miss, including read-in for
 // write.
 func (c *Controller) pvWrite(arr *Array, p int, a mem.Addr) (sim.Time, error) {
-	c.countPVWrite(p)
+	c.Stats.PrivWrites++
 	e := arr.Region.ElemIndex(a)
 	iter := c.curIter[p]
 	priv := arr.Priv[p]

@@ -209,30 +209,7 @@ type System struct {
 	// self-disables whenever the engine has an order policy installed.
 	FastPath bool
 
-	// Shards > 1 enables the sharded windowed executor (shard.go):
-	// processor steps queue in per-shard heaps outside the engine and a
-	// merge loop dispatches them against engine events under the exact
-	// (time, seq) order the engine alone would have produced, so results
-	// stay byte-identical at any shard count. Like the fast path it
-	// self-disables under an engine order policy.
-	Shards int
-
-	// WinParallel additionally forms same-cycle cohorts of
-	// classified-pure steps from different shards (cohort.go): the
-	// whole cohort executes through the classify-and-perform fast
-	// entry points in one round — concurrently on multi-core hosts,
-	// inline on a single core, identical results either way.
-	WinParallel bool
-
-	// WinSpawn forces cohort rounds onto goroutines even when the host
-	// exposes one CPU, where the executor would otherwise run them
-	// inline. A test hook: the race-detector suite sets it to drive
-	// the concurrent code path regardless of host shape.
-	WinSpawn bool
-
 	Procs []*Proc
-
-	win *winExec // non-nil while a sharded windowed Run is in progress
 
 	locks    map[int]*lock
 	barriers map[int]*barrier
@@ -298,9 +275,6 @@ func (s *System) abort(f *core.Failure) {
 	s.aborted = true
 	s.failure = f
 	s.M.Eng.Drain()
-	if s.win != nil {
-		s.win.drain()
-	}
 	s.M.ResetMessages()
 	for _, p := range s.Procs {
 		p.Done = true
@@ -353,27 +327,9 @@ func (s *System) Run(procIDs []int, sources []Source, bulk ...[]BulkSource) sim.
 		p.blocked = false
 		p.hasPending = false
 		p.waitKind = ""
+		s.M.Eng.Schedule(0, p.stepFn)
 	}
-	if s.Shards > 1 && !s.M.Eng.OrderPolicyActive() {
-		// Sharded windowed execution: initial steps enter the shard
-		// queues with the same sequence stamps Schedule(0, ...) would
-		// have drawn, and the merge loop replaces Engine.Run.
-		s.win = s.newWin()
-		now := s.M.Eng.Now()
-		for _, id := range procIDs {
-			s.win.push(s.Procs[id], now)
-		}
-		s.win.loop()
-		if s.win.par != nil {
-			s.win.par.release()
-		}
-		s.win = nil
-	} else {
-		for _, id := range procIDs {
-			s.M.Eng.Schedule(0, s.Procs[id].stepFn)
-		}
-		s.M.Eng.Run()
-	}
+	s.M.Eng.Run()
 	if !s.aborted {
 		var stuck []string
 		for _, id := range procIDs {
@@ -402,28 +358,6 @@ func (s *System) finish(p *Proc) {
 		p.Done = true
 		s.running--
 	}
-}
-
-// schedStep schedules p's next step after d cycles, routing through the
-// shard queues when a windowed Run is active. The shard push draws its
-// sequence stamp from the same engine counter Schedule uses, so the two
-// routes produce identical dispatch orders.
-func (s *System) schedStep(p *Proc, d sim.Time) {
-	if w := s.win; w != nil {
-		w.push(p, s.M.Eng.Now()+d)
-		return
-	}
-	s.M.Eng.Schedule(d, p.stepFn)
-}
-
-// schedStepAt is schedStep with an absolute time (the fused fast path
-// schedules at the batch's end time).
-func (s *System) schedStepAt(p *Proc, at sim.Time) {
-	if w := s.win; w != nil {
-		w.push(p, at)
-		return
-	}
-	s.M.Eng.At(at, p.stepFn)
 }
 
 // step runs when a processor's next instruction is due: it executes one
@@ -478,12 +412,6 @@ func (s *System) step(p *Proc) {
 func (s *System) fuse(p *Proc, first Instr) bool {
 	eng := s.M.Eng
 	limit, bounded := eng.PeekTime()
-	if w := s.win; w != nil {
-		// Windowed mode: pending steps live in the shard queues, not
-		// the engine, and the merge loop has already folded both into
-		// the horizon for this dispatch.
-		limit, bounded = w.limit, w.bounded
-	}
 	end := eng.Now()
 	if bounded && limit-end < 2 {
 		// Another event is due within a cycle (processors running in
@@ -518,7 +446,7 @@ func (s *System) fuse(p *Proc, first Instr) bool {
 		}
 		end += lat
 	}
-	s.schedStepAt(p, end)
+	eng.At(end, p.stepFn)
 	return true
 }
 
@@ -584,11 +512,12 @@ func (s *System) tryWrite(p int, a mem.Addr) (sim.Time, bool) {
 // the next step.
 func (s *System) exec1(p *Proc, in Instr) {
 	p.Instrs[in.Kind]++
+	eng := s.M.Eng
 
 	switch in.Kind {
 	case KCompute:
 		p.B.Busy += in.Cycles
-		s.schedStep(p, in.Cycles)
+		eng.Schedule(in.Cycles, p.stepFn)
 
 	case KLoad:
 		lat, err := s.read(p.ID, in.Addr)
@@ -603,7 +532,7 @@ func (s *System) exec1(p *Proc, in Instr) {
 			s.finish(p)
 			return
 		}
-		s.schedStep(p, lat)
+		eng.Schedule(lat, p.stepFn)
 
 	case KStore:
 		lat, err := s.write(p.ID, in.Addr)
@@ -618,7 +547,7 @@ func (s *System) exec1(p *Proc, in Instr) {
 			s.finish(p)
 			return
 		}
-		s.schedStep(p, lat)
+		eng.Schedule(lat, p.stepFn)
 
 	case KBeginIter:
 		var cost sim.Time
@@ -626,7 +555,7 @@ func (s *System) exec1(p *Proc, in Instr) {
 			cost = s.Ctl.BeginIteration(p.ID, in.ID)
 		}
 		p.B.Busy += cost
-		s.schedStep(p, cost)
+		eng.Schedule(cost, p.stepFn)
 
 	case KLockAcq:
 		s.lockAcquire(p, in.ID)
@@ -677,7 +606,7 @@ func (s *System) lockAcquire(p *Proc, id int) {
 	if !l.held {
 		l.held = true
 		p.B.Sync += s.Costs.LockAcquire
-		s.schedStep(p, s.Costs.LockAcquire)
+		s.M.Eng.Schedule(s.Costs.LockAcquire, p.stepFn)
 		return
 	}
 	p.blocked = true
@@ -692,7 +621,7 @@ func (s *System) lockRelease(p *Proc, id int) {
 		panic(fmt.Sprintf("cpu: release of unheld lock %d", id))
 	}
 	// The releaser continues immediately.
-	s.schedStep(p, 0)
+	s.M.Eng.Schedule(0, p.stepFn)
 	if len(l.waiters) == 0 {
 		l.held = false
 		return
@@ -706,7 +635,7 @@ func (s *System) lockRelease(p *Proc, id int) {
 	w.waitKind = ""
 	release := s.M.Eng.Now()
 	w.B.Sync += release - at + handoff
-	s.schedStep(w, handoff)
+	s.M.Eng.Schedule(handoff, w.stepFn)
 }
 
 // SetBarrier declares barrier id to expect n participants. Barriers must
@@ -734,7 +663,7 @@ func (s *System) barrierArrive(p *Proc, id int) {
 		q.blocked = false
 		q.waitKind = ""
 		q.B.Sync += release - b.arrived[i] + cost
-		s.schedStep(q, cost)
+		s.M.Eng.Schedule(cost, q.stepFn)
 	}
 	b.procs = b.procs[:0]
 	b.arrived = b.arrived[:0]

@@ -71,15 +71,6 @@ type Harness struct {
 	// the flag against one without.
 	NoFastPath bool
 
-	// Shards applies the intra-run sharded executor to every cell
-	// (run.Config.Shards), clamped to each cell's processor count so a
-	// sweep that includes serial baselines stays valid. Like NoFastPath
-	// it cannot change any result — sharded execution is byte-identical
-	// at any K — only how fast cells simulate; the sharded CI step
-	// diffs a sharded quick suite against an unsharded one to hold that
-	// line.
-	Shards int
-
 	par int           // worker-pool size
 	sem chan struct{} // bounds concurrently running simulations
 
@@ -162,21 +153,10 @@ func (h *Harness) Result(name string, mode run.Mode, procs int) *run.Result {
 			MeshH:         h.MeshH,
 			DirMode:       h.DirMode,
 			NoFastPath:    h.NoFastPath,
-			Shards:        h.shardsFor(procs),
 		})
 		h.simulated.Add(1)
 	})
 	return c.res
-}
-
-// shardsFor clamps the harness shard count to a cell's processor count
-// (serial baselines run with one processor, where any K collapses to
-// the engine-only executor anyway).
-func (h *Harness) shardsFor(procs int) int {
-	if h.Shards > procs {
-		return procs
-	}
-	return h.Shards
 }
 
 // Serial returns the uniprocessor baseline for a loop.
@@ -359,7 +339,6 @@ func (h *Harness) Fig13() Fig13Result {
 		case 2:
 			cfg.Mode = run.HW
 		}
-		cfg.Shards = h.shardsFor(cfg.Procs)
 		results[j/3][slot] = run.MustExecute(w, cfg)
 	})
 	var res Fig13Result

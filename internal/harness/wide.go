@@ -117,7 +117,6 @@ func (h *Harness) WideCell(workload string, procs int, dir directory.Mode, topo 
 		L2Bytes:       64 << 10,
 		MaxExecutions: 1,
 		NoFastPath:    h.NoFastPath,
-		Shards:        h.shardsFor(procs),
 	})
 	return WideRow{
 		Workload: workload, Procs: procs, Dir: dir, Topology: topo,

@@ -6,17 +6,17 @@ import (
 	"specrt/internal/sim"
 )
 
-// Classify-without-performing probes for the execution fast path
+// One-pass classify-and-perform probes for the execution fast path
 // (internal/cpu). An access is "fast" when performing it is locally
 // deterministic: it hits in the processor's own hierarchy, issues no
 // directory transaction or deferred message, cannot fail, and its
-// latency does not depend on the current simulated time. The batcher
-// classifies first and, only if fast, performs the access through the
-// normal Read/Write entry points — so every statistic and state change
-// is produced by exactly the code the stepped path runs.
+// latency does not depend on the current simulated time. A fast access
+// is performed in place with exactly the statistics and state changes
+// the stepped path's Read/Write would produce; anything else reports
+// ok=false untouched and takes the stepped path.
 //
 // The probes use cache.Lookup (no hit/miss accounting, no L2→L1
-// promotion); the later perform step recounts and promotes as usual.
+// promotion) and then count and promote explicitly.
 
 // PromoteIsLocal reports whether promoting line a into p's L1 would
 // displace only state that folds back into the inclusive L2. Inclusion
@@ -31,26 +31,26 @@ func (m *Machine) PromoteIsLocal(p int, a mem.Addr) bool {
 }
 
 // TryFastRead classifies and, when fast, performs a plain read in one
-// pass, returning the latency the processor observes. It folds
-// ClassifyRead and the hit arms of Read/Probe into a single hierarchy
-// lookup; every statistic the stepped path would record is recorded
-// here identically. ok=false performs nothing and counts nothing.
+// pass, returning the latency the processor observes. It folds the
+// classification and the hit arms of Read/Probe into a single hierarchy
+// lookup; every statistic the stepped path would record is recorded here
+// identically. ok=false performs nothing and counts nothing.
 func (m *Machine) TryFastRead(p int, a mem.Addr) (sim.Time, bool) {
 	pr := m.Procs[p]
 	if fr := pr.L1.Lookup(a); fr != nil {
-		m.countRead(p)
+		m.Stats.Reads++
 		pr.L1.Stats.Hits++
-		m.countL1Hit(p)
+		m.Stats.L1Hits++
 		return m.Cfg.Lat.L1Hit, true
 	}
 	fr := pr.L2.Lookup(a)
 	if fr == nil || !m.PromoteIsLocal(p, a) {
 		return 0, false
 	}
-	m.countRead(p)
+	m.Stats.Reads++
 	pr.L1.Stats.Misses++
 	pr.L2.Stats.Hits++
-	m.countL2Hit(p)
+	m.Stats.L2Hits++
 	m.installL1(p, fr.Tag, fr.State, fr.Bits)
 	return m.Cfg.Lat.L2Hit, true
 }
@@ -65,52 +65,19 @@ func (m *Machine) TryFastWrite(p int, a mem.Addr) (sim.Time, bool) {
 		if fr.State != cache.Dirty {
 			return 0, false // clean hit: upgrade at the home
 		}
-		m.countWrite(p)
+		m.Stats.Writes++
 		pr.L1.Stats.Hits++
-		m.countL1Hit(p)
+		m.Stats.L1Hits++
 		return m.Cfg.Lat.L1Hit, true
 	}
 	fr := pr.L2.Lookup(a)
 	if fr == nil || fr.State != cache.Dirty || !m.PromoteIsLocal(p, a) {
 		return 0, false
 	}
-	m.countWrite(p)
+	m.Stats.Writes++
 	pr.L1.Stats.Misses++
 	pr.L2.Stats.Hits++
-	m.countL2Hit(p)
+	m.Stats.L2Hits++
 	m.installL1(p, fr.Tag, fr.State, fr.Bits)
 	return m.Cfg.Lat.L1Hit, true
-}
-
-// ClassifyRead reports whether a plain read by p would be a pure cache
-// hit, and the latency it would return. An L2-only hit is still fast
-// when the promotion into L1 (and the victim merge back into the
-// inclusive L2) is entirely local to the processor.
-func (m *Machine) ClassifyRead(p int, a mem.Addr) (sim.Time, bool) {
-	pr := m.Procs[p]
-	if pr.L1.Lookup(a) != nil {
-		return m.Cfg.Lat.L1Hit, true
-	}
-	if pr.L2.Lookup(a) != nil && m.PromoteIsLocal(p, a) {
-		return m.Cfg.Lat.L2Hit, true
-	}
-	return 0, false
-}
-
-// ClassifyWrite reports whether a plain write by p would complete without
-// a directory transaction: only a hit on an already-dirty line qualifies
-// (clean hits upgrade at the home). Dirty-hit writes charge the L1 hit
-// time regardless of Config.StallWrites, mirroring Machine.Write.
-func (m *Machine) ClassifyWrite(p int, a mem.Addr) (sim.Time, bool) {
-	pr := m.Procs[p]
-	if fr := pr.L1.Lookup(a); fr != nil {
-		if fr.State == cache.Dirty {
-			return m.Cfg.Lat.L1Hit, true
-		}
-		return 0, false
-	}
-	if fr := pr.L2.Lookup(a); fr != nil && fr.State == cache.Dirty && m.PromoteIsLocal(p, a) {
-		return m.Cfg.Lat.L1Hit, true
-	}
-	return 0, false
 }

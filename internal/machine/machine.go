@@ -189,78 +189,6 @@ type Stats struct {
 	Messages      uint64 // deferred protocol messages (bit updates)
 }
 
-// ParCell is one shard's accumulator for the counters the classified-
-// pure access paths increment (Reads, Writes, L1Hits, L2Hits). When a
-// same-cycle cohort of pure accesses executes concurrently (see
-// internal/cpu's sharded executor), each shard's goroutine increments
-// its own cell instead of the shared Stats; the cells are folded back
-// in shard order afterwards. Sums commute, so the fold is byte-
-// identical to serial counting. The pad keeps cells written by
-// different goroutines off a shared cache line.
-type ParCell struct {
-	Reads, Writes, L1Hits, L2Hits uint64
-	_                             [4]uint64
-}
-
-// SetParCells registers the per-shard diversion cells and the
-// processor-to-shard map for concurrent pure cohorts. Passing nils
-// deregisters them. Diversion only happens while ParOn(true) is set.
-func (m *Machine) SetParCells(shardOf []int16, cells []ParCell) {
-	m.parShard, m.parCells = shardOf, cells
-}
-
-// ParOn toggles diversion of the pure-path counters into the registered
-// shard cells. Must only be flipped between accesses (never mid-access).
-func (m *Machine) ParOn(on bool) { m.parOn = on }
-
-// FoldParCells adds the shard cells into Stats in shard order and
-// clears them.
-func (m *Machine) FoldParCells() {
-	for i := range m.parCells {
-		c := &m.parCells[i]
-		m.Stats.Reads += c.Reads
-		m.Stats.Writes += c.Writes
-		m.Stats.L1Hits += c.L1Hits
-		m.Stats.L2Hits += c.L2Hits
-		*c = ParCell{}
-	}
-}
-
-// countRead and friends route one pure-path counter increment either to
-// the shared Stats (the normal, single-threaded case) or to the current
-// processor's shard cell during a concurrent cohort.
-func (m *Machine) countRead(p int) {
-	if m.parOn {
-		m.parCells[m.parShard[p]].Reads++
-	} else {
-		m.Stats.Reads++
-	}
-}
-
-func (m *Machine) countWrite(p int) {
-	if m.parOn {
-		m.parCells[m.parShard[p]].Writes++
-	} else {
-		m.Stats.Writes++
-	}
-}
-
-func (m *Machine) countL1Hit(p int) {
-	if m.parOn {
-		m.parCells[m.parShard[p]].L1Hits++
-	} else {
-		m.Stats.L1Hits++
-	}
-}
-
-func (m *Machine) countL2Hit(p int) {
-	if m.parOn {
-		m.parCells[m.parShard[p]].L2Hits++
-	} else {
-		m.Stats.L2Hits++
-	}
-}
-
 // Add folds another machine's counters into s (adaptive executions
 // aggregate one machine per strategy).
 func (s *Stats) Add(o Stats) {
@@ -294,13 +222,6 @@ type Machine struct {
 	// writeback traffic (see Config.Net). Read its Stats after a run;
 	// mutating it mid-run is not supported.
 	Net interconnect.Network
-
-	// Concurrent-cohort counter diversion (see ParCell): while parOn,
-	// pure-path counter increments go to parCells[parShard[p]] instead
-	// of Stats.
-	parOn    bool
-	parShard []int16
-	parCells []ParCell
 
 	// OnDirtyWriteback, if set, receives the access bits of every dirty
 	// line that reaches its home (forced writebacks and evictions), so

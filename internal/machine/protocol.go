@@ -15,11 +15,11 @@ import (
 func (m *Machine) Probe(p int, a mem.Addr) (*cache.Line, sim.Time, bool) {
 	pr := m.Procs[p]
 	if fr := pr.L1.Probe(a); fr != nil {
-		m.countL1Hit(p)
+		m.Stats.L1Hits++
 		return fr, m.Cfg.Lat.L1Hit, true
 	}
 	if fr := pr.L2.Probe(a); fr != nil {
-		m.countL2Hit(p)
+		m.Stats.L2Hits++
 		l1fr := m.installL1(p, fr.Tag, fr.State, fr.Bits)
 		return l1fr, m.Cfg.Lat.L2Hit, true
 	}

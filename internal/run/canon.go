@@ -37,7 +37,7 @@ const (
 // companion test asserts it equals reflect.TypeOf(Config{}).NumField(),
 // so adding a Config field without extending Canonical fails the build's
 // tests instead of silently aliasing distinct configs to one cache key.
-const canonFieldCount = 22
+const canonFieldCount = 21
 
 // ModeByName resolves a mode flag or request-body value.
 func ModeByName(name string) (Mode, error) {
@@ -83,10 +83,6 @@ func (c Config) Canonical() string {
 	if c.MeshW != 0 || c.MeshH != 0 {
 		mesh = fmt.Sprintf("%dx%d", c.MeshW, c.MeshH)
 	}
-	shards := c.Shards
-	if shards == 0 {
-		shards = 1 // 0 is documented as "unsharded", same as 1
-	}
 	var b strings.Builder
 	b.Grow(256)
 	fmt.Fprintf(&b, "adaptive_after=%d\n", c.AdaptiveAfter)
@@ -107,7 +103,6 @@ func (c Config) Canonical() string {
 	fmt.Fprintf(&b, "policy=%v\n", c.Policy)
 	fmt.Fprintf(&b, "procs=%d\n", c.Procs)
 	fmt.Fprintf(&b, "sched=%s\n", canonSched(c.SchedOverride))
-	fmt.Fprintf(&b, "shards=%d\n", shards)
 	fmt.Fprintf(&b, "stall_writes=%t\n", c.StallWrites)
 	fmt.Fprintf(&b, "topology=%v\n", c.Topology)
 	return b.String()

@@ -72,7 +72,6 @@ func TestHashFieldFlips(t *testing.T) {
 		"Policy":            func(c *Config) { c.Policy = policy.Adaptive },
 		"Director":          func(c *Config) { c.Policy = policy.Adaptive; c.Director = policy.Threshold },
 		"NoFastPath":        func(c *Config) { c.NoFastPath = true },
-		"Shards":            func(c *Config) { c.Shards = 4 },
 	}
 	if len(flips) != canonFieldCount {
 		t.Fatalf("flip table covers %d fields, Config has %d", len(flips), canonFieldCount)

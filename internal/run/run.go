@@ -220,25 +220,7 @@ type Config struct {
 	// escape hatch for differential testing and perf debugging, not a
 	// semantic knob. CheckInvariants implies it.
 	NoFastPath bool
-	// Shards partitions each execution's processors into this many
-	// contiguous shards driven by the windowed merge executor
-	// (internal/cpu, shard.go). Sharding is exact — output is
-	// byte-identical to the single-queue engine at any shard count — so
-	// like NoFastPath this is a performance knob, not a semantic one.
-	// 0 and 1 both mean the engine-only path; values above 1 must not
-	// exceed Procs. Serial (re-)executions always run unsharded.
-	Shards int
 }
-
-// ForceParallelWindows makes sharded sessions run same-cycle pure
-// cohorts concurrently even on a single-CPU host, where the executor
-// would normally keep cohort dispatch serial (the goroutine handoff
-// only pays off with real cores under it). Concurrency does not change
-// results — cohorts are exact — so this is a test hook: the race
-// detector suite sets it to drive the concurrent code path
-// deterministically regardless of host shape. Not part of Config, and
-// therefore not part of the result cache key, by the same argument.
-var ForceParallelWindows bool
 
 // Result reports one Execute call.
 type Result struct {
@@ -467,23 +449,6 @@ func validate(w *Workload, cfg Config) error {
 	}
 	if cfg.L1Bytes < 0 || cfg.L2Bytes < 0 {
 		return fmt.Errorf("run: negative cache size override")
-	}
-	if cfg.Shards < 0 {
-		return fmt.Errorf("run: shards must be in [0,%d] (0 or 1 = unsharded), got %d",
-			cfg.Procs, cfg.Shards)
-	}
-	if cfg.Shards > cfg.Procs {
-		// A shard with no processors would be pure overhead; fail up
-		// front and name the bound like the mesh capacity check above.
-		return fmt.Errorf("run: shards must be in [0,%d] with %d processors (0 or 1 = unsharded), got %d",
-			cfg.Procs, cfg.Procs, cfg.Shards)
-	}
-	if cfg.Shards > 1 && cfg.Topology == interconnect.Mesh && cfg.Shards&(cfg.Shards-1) != 0 {
-		// Mesh placement blocks processors row-major; a power-of-two
-		// split keeps every shard a whole number of mesh rows or row
-		// halves, so shard boundaries coincide with locality boundaries.
-		return fmt.Errorf("run: shards on a mesh must be a power of two in [1,%d], got %d",
-			cfg.Procs, cfg.Shards)
 	}
 	if cfg.Mode == SW && w.SWProcWise {
 		k := schedFor(w, cfg).Kind

@@ -144,18 +144,6 @@ func newSession(w *Workload, cfg Config) *session {
 	// audit every directory transaction in stepped order, so they pin
 	// the stepped path wholesale rather than reason about fused runs.
 	s.sys.FastPath = !cfg.NoFastPath && !cfg.CheckInvariants
-	if cfg.Shards > 1 && procs > 1 {
-		// Sharded windowed execution is exact at any shard count, so it
-		// composes with every mode; a uniprocessor session (Serial mode,
-		// serial re-execution) has nothing to shard.
-		s.sys.Shards = cfg.Shards
-		// Same-cycle pure cohorts run concurrently with real cores
-		// under them and inline otherwise; ForceParallelWindows makes
-		// the race-detector suite drive the goroutine path even on a
-		// single-CPU host.
-		s.sys.WinParallel = !cfg.CheckInvariants
-		s.sys.WinSpawn = ForceParallelWindows
-	}
 	s.sys.SetBarrier(phaseBarrier, procs)
 
 	// Backup copies for arrays modified in place by the speculative

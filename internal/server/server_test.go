@@ -99,9 +99,6 @@ func TestSubmitBadRequests(t *testing.T) {
 		{"bad policy", JobRequest{Workload: "Track", Mode: "hw", Procs: 4, Policy: "magic"}},
 		{"bad director", JobRequest{Workload: "Track", Mode: "hw", Procs: 4, Policy: "adaptive", Director: "oracle"}},
 		{"director without policy", JobRequest{Workload: "Track", Mode: "hw", Procs: 4, Director: "threshold"}},
-		{"negative shards", JobRequest{Workload: "Track", Mode: "hw", Procs: 4, Shards: -1}},
-		{"shards beyond procs", JobRequest{Workload: "Track", Mode: "hw", Procs: 4, Shards: 8}},
-		{"non-power-of-two mesh shards", JobRequest{Workload: "Track", Mode: "hw", Procs: 16, Topology: "mesh", Shards: 3}},
 		{"not json", "]"},
 	}
 	for _, tc := range cases {
@@ -238,35 +235,43 @@ func TestByteIdenticalWithLocal(t *testing.T) {
 	}
 }
 
-// TestShardedJobByteIdentical: a job that asks for the sharded executor
-// returns exactly the bytes the engine-only executor produces — shards
-// change wall-clock, never results.
-func TestShardedJobByteIdentical(t *testing.T) {
-	s := New(Options{Scale: harness.Quick})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	cl := &Client{BaseURL: ts.URL, Tenant: "test", PollInterval: 2 * time.Millisecond}
+// TestLegacyShardFieldIgnored: servers once accepted a "shards" field
+// that only changed wall-clock time. The decoder ignores unknown fields,
+// so an old client that still sends it is admitted under the same cache
+// key and gets the same report bytes as the request without it.
+func TestLegacyShardFieldIgnored(t *testing.T) {
+	s := New(Options{Scale: harness.Quick, Parallel: 1})
+	req := JobRequest{Workload: "Ocean", Mode: "hw", Procs: 4}
+	w := post(t, s, json.RawMessage(`{"workload":"Ocean","mode":"hw","procs":4,"shards":4}`), "")
+	if w.Code != http.StatusAccepted {
+		t.Fatalf("submit with shards returned %d: %s", w.Code, w.Body)
+	}
+	var sub SubmitResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &sub); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := req.Spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sub.Key != spec.Key() {
+		t.Fatalf("key with shards %q, without %q", sub.Key, spec.Key())
+	}
+	if st := waitDone(t, s, sub.ID); st.Status != string(statusDone) {
+		t.Fatalf("job with shards ended %q: %s", st.Status, st.Error)
+	}
+	got := get(t, s, "/v1/jobs/"+sub.ID+"/result").Body.Bytes()
 
-	base := JobRequest{Workload: "Ocean", Mode: "hw", Procs: 4}
-	var want []byte
-	for _, shards := range []int{0, 2, 4} {
-		req := base
-		req.Shards = shards
-		sub, err := cl.Submit(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := cl.WaitResult(sub.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if shards == 0 {
-			want = got
-			continue
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("shards=%d report differs from engine-only:\nsharded:  %s\nbaseline: %s", shards, got, want)
-		}
+	wl, cfg, err := harness.ResolveJob(spec, harness.Quick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := stats.ReportOf(run.MustExecute(wl, cfg)).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("report with shards differs:\nwith:    %s\nwithout: %s", got, want)
 	}
 }
 

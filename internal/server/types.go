@@ -39,10 +39,6 @@ type JobRequest struct {
 	// Director picks the adaptive decision procedure: "static",
 	// "threshold" or "cost". Requires Policy "adaptive".
 	Director string `json:"director,omitempty"`
-	// Shards partitions the processors into K shard queues inside one
-	// simulation (0 or 1 = the engine-only executor). The report bytes
-	// are identical at every value; only wall-clock changes.
-	Shards int `json:"shards,omitempty"`
 }
 
 // parseSched parses the Sched field.
@@ -123,7 +119,6 @@ func (jr JobRequest) Spec() (harness.JobSpec, error) {
 			DirMode:       dirMode,
 			Policy:        pol,
 			Director:      director,
-			Shards:        jr.Shards,
 		},
 	}, nil
 }

@@ -137,7 +137,6 @@ type Engine struct {
 	peekOK    bool
 	peekWheel bool // head is the wheel's (else the heap's)
 	peekT     Time
-	peekSeq   uint64
 }
 
 // NewEngine returns an empty engine at time zero.
@@ -204,51 +203,6 @@ func (e *Engine) OrderPolicyActive() bool { return e.order != nil }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
-
-// AllocSeq draws the next event sequence number without scheduling
-// anything. The sharded executor queues processor steps outside the
-// engine but stamps them from this shared counter, so the merged
-// (time, seq) order across engine events and external steps is exactly
-// the order a single queue would have produced.
-func (e *Engine) AllocSeq() uint64 {
-	e.seq++
-	return e.seq
-}
-
-// AdvanceTo moves the clock forward to t without running any events.
-// The caller owns causality: it must have established (via PeekTimeSeq)
-// that no pending event lies before t. External executors use this to
-// keep Now consistent while dispatching their own queue entries.
-func (e *Engine) AdvanceTo(t Time) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: advance to %d before now %d", t, e.now))
-	}
-	e.now = t
-}
-
-// CountRun records one externally-dispatched event in the EventsRun
-// total, so engine-level accounting is identical whether a processor
-// step ran as an engine event or from a shard queue.
-func (e *Engine) CountRun() { e.nRun++ }
-
-// CountRuns records n externally-dispatched events at once; cohort
-// rounds batch their accounting instead of paying a call per member.
-func (e *Engine) CountRuns(n int) { e.nRun += uint64(n) }
-
-// PeekTimeSeq reports the (time, seq) key of the earliest pending
-// event, if any, without running it. Only meaningful under FIFO
-// tie-break (no order policy): ranks are not exposed, and the sharded
-// executor that merges against this key refuses to engage when a
-// policy is installed.
-func (e *Engine) PeekTimeSeq() (Time, uint64, bool) {
-	if !e.peekValid {
-		e.scanHead()
-	}
-	if !e.peekOK {
-		return 0, 0, false
-	}
-	return e.peekT, e.peekSeq, true
-}
 
 // EventsRun reports how many events have executed so far.
 func (e *Engine) EventsRun() uint64 { return e.nRun }
@@ -449,16 +403,16 @@ func (e *Engine) scanHead() {
 	if len(e.heap) == 0 {
 		e.peekOK, e.peekWheel = we != nil, we != nil
 		if we != nil {
-			e.peekT, e.peekSeq = we.at, we.seq
+			e.peekT = we.at
 		}
 		return
 	}
 	e.peekOK = true
 	h := &e.pool[e.heap[0]]
 	if we == nil || h.at < we.at || (h.at == we.at && h.rank == 0 && h.seq < we.seq) {
-		e.peekWheel, e.peekT, e.peekSeq = false, h.at, h.seq
+		e.peekWheel, e.peekT = false, h.at
 	} else {
-		e.peekWheel, e.peekT, e.peekSeq = true, we.at, we.seq
+		e.peekWheel, e.peekT = true, we.at
 	}
 }
 
