@@ -18,7 +18,10 @@
 // explicit mesh shape spells as mesh:WxH), -placement the
 // page-placement policy for workload arrays, and -dirmode the directory
 // sharer representation (full-map or coarse); all apply to every
-// experiment cell. The network command prints the mesh-contention
+// experiment cell except where an ablation sweeps the field itself (the
+// mesh-contention ablation sets its topology and placement; the
+// wide-scale ablation its topology, directory mode and auto mesh
+// shape). The network command prints the mesh-contention
 // ablation on its own, and wide prints the wide-scale scaling ablation
 // (procs x directory mode x topology, up to -procs processors —
 // default 1024). adaptive prints the adaptive speculation-policy

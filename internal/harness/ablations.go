@@ -1,13 +1,10 @@
 package harness
 
 import (
-	"bytes"
 	"fmt"
 	"io"
-	"text/tabwriter"
 
 	"specrt/internal/core"
-	"specrt/internal/loops"
 	"specrt/internal/run"
 	"specrt/internal/sched"
 )
@@ -22,48 +19,44 @@ type ChunkRow struct {
 	Failures int
 }
 
+// trackChunks is the Track chunk-size sweep.
+func (h *Harness) trackChunks() table[[]ChunkRow] {
+	chunks := []int{1, 2, 4, 8, 16, 32, 0}
+	var cells []cell
+	for _, chunk := range chunks {
+		s := &sched.Config{Kind: sched.Dynamic, Chunk: chunk}
+		if chunk == 0 {
+			s = &sched.Config{Kind: sched.Static}
+		}
+		cells = append(cells, cell{loop: "Track", mode: run.HW, procs: 16,
+			set: func(c *run.Config) { c.SchedOverride = s }})
+	}
+	return table[[]ChunkRow]{cells: cells, result: eachRow(func(i int, r *run.Result) ChunkRow {
+		return ChunkRow{Chunk: chunks[i], Cycles: r.Cycles, Failures: r.Failures}
+	}), print: func(w io.Writer, rows []ChunkRow) {
+		tw := tabulate(w, fmt.Sprintf("Ablation: Track HW dynamic block size (scale %s)", h.Scale.Name), "chunk\tcycles\tfailed executions")
+		for _, r := range rows {
+			name := fmt.Sprint(r.Chunk)
+			if r.Chunk == 0 {
+				name = "static"
+			}
+			fmt.Fprintf(tw, "%s\t%d\t%d\n", name, r.Cycles, r.Failures)
+		}
+		tw.Flush()
+		fmt.Fprint(w, "expected: chunk 1 fails the special executions; small blocks pass and balance best\n\n")
+	}}
+}
+
 // AblationTrackChunks sweeps the dynamic-scheduling block size for Track
 // under the HW scheme (§4.1 discusses superiteration size; §5.2 notes
 // Track passes "if the iterations are scheduled in blocks of a few
 // iterations each"). Chunk 1 splits the communicating pairs across
 // processors and fails; larger chunks pass but lose balance.
-func (h *Harness) AblationTrackChunks() []ChunkRow {
-	var rows []ChunkRow
-	for _, chunk := range []int{1, 2, 4, 8, 16, 32, 0} {
-		w := loops.Track()
-		cfg := run.Config{
-			Procs: 16, Mode: run.HW, Contention: true,
-			MaxExecutions: h.Scale.TrackExecs,
-			NoFastPath:    h.NoFastPath,
-		}
-		if chunk == 0 {
-			cfg.SchedOverride = &sched.Config{Kind: sched.Static}
-		} else {
-			cfg.SchedOverride = &sched.Config{Kind: sched.Dynamic, Chunk: chunk}
-		}
-		r := run.MustExecute(w, cfg)
-		rows = append(rows, ChunkRow{Chunk: chunk, Cycles: r.Cycles, Failures: r.Failures})
-	}
-	return rows
-}
+func (h *Harness) AblationTrackChunks() []ChunkRow { return h.trackChunks().of(h) }
 
 // PrintAblationTrackChunks renders the chunk sweep.
 func (h *Harness) PrintAblationTrackChunks(w io.Writer) []ChunkRow {
-	rows := h.AblationTrackChunks()
-	fmt.Fprintf(w, "Ablation: Track HW dynamic block size (scale %s)\n", h.Scale.Name)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "chunk\tcycles\tfailed executions")
-	for _, r := range rows {
-		name := fmt.Sprint(r.Chunk)
-		if r.Chunk == 0 {
-			name = "static"
-		}
-		fmt.Fprintf(tw, "%s\t%d\t%d\n", name, r.Cycles, r.Failures)
-	}
-	tw.Flush()
-	fmt.Fprintln(w, "expected: chunk 1 fails the special executions; small blocks pass and balance best")
-	fmt.Fprintln(w)
-	return rows
+	return h.trackChunks().printTo(h, w)
 }
 
 // ContentionRow compares a loop with and without home-node contention.
@@ -73,38 +66,40 @@ type ContentionRow struct {
 	WithoutContention int64
 }
 
+// contention pairs Figure 11's P3m and Track HW cells with the same
+// cells without the contention model.
+func (h *Harness) contention() table[[]ContentionRow] {
+	names := []string{"P3m", "Track"}
+	var cells []cell
+	for _, name := range names {
+		cells = append(cells, loopCell(name, run.HW, 16), cell{loop: name, mode: run.HW, procs: 16,
+			set: func(c *run.Config) { c.Contention = false }})
+	}
+	return table[[]ContentionRow]{cells: cells, result: func(res []*run.Result) []ContentionRow {
+		var rows []ContentionRow
+		for i, name := range names {
+			rows = append(rows, ContentionRow{
+				Loop: name, WithContention: res[2*i].Cycles, WithoutContention: res[2*i+1].Cycles})
+		}
+		return rows
+	}, print: func(w io.Writer, rows []ContentionRow) {
+		tw := tabulate(w, fmt.Sprintf("Ablation: home-node contention (HW, 16 procs, scale %s)", h.Scale.Name), "loop\twith contention\twithout\tslowdown")
+		for _, r := range rows {
+			fmt.Fprintf(tw, "%s\t%d\t%d\t%.3f\n", r.Loop, r.WithContention, r.WithoutContention,
+				float64(r.WithContention)/float64(r.WithoutContention))
+		}
+		tw.Flush()
+		fmt.Fprintln(w)
+	}}
+}
+
 // AblationContention quantifies queueing delay at the home directories
 // (the paper: latencies "increase with resource contention").
-func (h *Harness) AblationContention() []ContentionRow {
-	var rows []ContentionRow
-	for _, name := range []string{"P3m", "Track"} {
-		w, maxExec := h.workload(name)
-		on := run.MustExecute(w, run.Config{
-			Procs: 16, Mode: run.HW, Contention: true, MaxExecutions: maxExec,
-			NoFastPath: h.NoFastPath})
-		w2, _ := h.workload(name)
-		off := run.MustExecute(w2, run.Config{
-			Procs: 16, Mode: run.HW, Contention: false, MaxExecutions: maxExec,
-			NoFastPath: h.NoFastPath})
-		rows = append(rows, ContentionRow{
-			Loop: name, WithContention: on.Cycles, WithoutContention: off.Cycles})
-	}
-	return rows
-}
+func (h *Harness) AblationContention() []ContentionRow { return h.contention().of(h) }
 
 // PrintAblationContention renders the contention comparison.
 func (h *Harness) PrintAblationContention(w io.Writer) []ContentionRow {
-	rows := h.AblationContention()
-	fmt.Fprintf(w, "Ablation: home-node contention (HW, 16 procs, scale %s)\n", h.Scale.Name)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "loop\twith contention\twithout\tslowdown")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%.3f\n", r.Loop, r.WithContention, r.WithoutContention,
-			float64(r.WithContention)/float64(r.WithoutContention))
-	}
-	tw.Flush()
-	fmt.Fprintln(w)
-	return rows
+	return h.contention().printTo(h, w)
 }
 
 // GrainRow compares per-word and per-line access bits.
@@ -114,10 +109,8 @@ type GrainRow struct {
 	Cycles   int64
 }
 
-// AblationBitGranularity runs a non-privatization loop whose processors
-// interleave within cache lines. Per-word bits (the paper's design,
-// §4.1) pass; per-line bits fail spuriously on false sharing.
-func (h *Harness) AblationBitGranularity() []GrainRow {
+// bitGranularity is the access-bit granularity comparison.
+func (h *Harness) bitGranularity() table[[]GrainRow] {
 	mk := func() *run.Workload {
 		return &run.Workload{
 			Name:       "interleaved",
@@ -137,40 +130,32 @@ func (h *Harness) AblationBitGranularity() []GrainRow {
 			HWSched: sched.Config{Kind: sched.Dynamic, Chunk: 1},
 		}
 	}
-	var rows []GrainRow
-	for _, lineGrain := range []bool{false, true} {
-		w := mk()
-		r := executeWithGrain(w, lineGrain, h.NoFastPath)
-		name := "word"
-		if lineGrain {
-			name = "line"
-		}
-		rows = append(rows, GrainRow{Grain: name, Failures: r.Failures, Cycles: r.Cycles})
+	grains := []string{"word", "line"}
+	var cells []cell
+	for _, g := range grains {
+		cells = append(cells, cell{build: mk, mode: run.HW, procs: 8,
+			set: func(c *run.Config) { c.LineGrainBits = g == "line" }})
 	}
-	return rows
+	return table[[]GrainRow]{cells: cells, result: eachRow(func(i int, r *run.Result) GrainRow {
+		return GrainRow{Grain: grains[i], Failures: r.Failures, Cycles: r.Cycles}
+	}), print: func(w io.Writer, rows []GrainRow) {
+		tw := tabulate(w, "Ablation: access-bit granularity (non-priv, interleaved elements)", "granularity\tfailed\tcycles")
+		for _, r := range rows {
+			fmt.Fprintf(tw, "%s\t%d\t%d\n", r.Grain, r.Failures, r.Cycles)
+		}
+		tw.Flush()
+		fmt.Fprint(w, "expected: per-word bits pass; per-line bits fail spuriously on false sharing\n\n")
+	}}
 }
 
-// executeWithGrain runs a workload under HW with the chosen access-bit
-// granularity.
-func executeWithGrain(w *run.Workload, lineGrain, noFast bool) *run.Result {
-	cfg := run.Config{Procs: 8, Mode: run.HW, Contention: true, NoFastPath: noFast}
-	cfg.LineGrainBits = lineGrain
-	return run.MustExecute(w, cfg)
-}
+// AblationBitGranularity runs a non-privatization loop whose processors
+// interleave within cache lines. Per-word bits (the paper's design,
+// §4.1) pass; per-line bits fail spuriously on false sharing.
+func (h *Harness) AblationBitGranularity() []GrainRow { return h.bitGranularity().of(h) }
 
 // PrintAblationBitGranularity renders the granularity comparison.
 func (h *Harness) PrintAblationBitGranularity(w io.Writer) []GrainRow {
-	rows := h.AblationBitGranularity()
-	fmt.Fprintln(w, "Ablation: access-bit granularity (non-priv, interleaved elements)")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "granularity\tfailed\tcycles")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%d\t%d\n", r.Grain, r.Failures, r.Cycles)
-	}
-	tw.Flush()
-	fmt.Fprintln(w, "expected: per-word bits pass; per-line bits fail spuriously on false sharing")
-	fmt.Fprintln(w)
-	return rows
+	return h.bitGranularity().printTo(h, w)
 }
 
 // RicoRow compares privatization with and without read-in support.
@@ -179,10 +164,8 @@ type RicoRow struct {
 	Failures int
 }
 
-// AblationReadIn shows the value of read-in/copy-out support (§3.3): a
-// loop whose first access to each element is a read passes only with
-// RICO.
-func (h *Harness) AblationReadIn() []RicoRow {
+// readIn is the read-in/copy-out comparison.
+func (h *Harness) readIn() table[[]RicoRow] {
 	mk := func(rico bool) *run.Workload {
 		return &run.Workload{
 			Name:       "readin",
@@ -201,50 +184,61 @@ func (h *Harness) AblationReadIn() []RicoRow {
 			HWSched: sched.Config{Kind: sched.Dynamic, Chunk: 1},
 		}
 	}
-	var rows []RicoRow
-	for _, rico := range []bool{true, false} {
-		r := run.MustExecute(mk(rico), run.Config{Procs: 8, Mode: run.HW, Contention: true, NoFastPath: h.NoFastPath})
-		rows = append(rows, RicoRow{RICO: rico, Failures: r.Failures})
+	ricos := []bool{true, false}
+	var cells []cell
+	for _, rico := range ricos {
+		cells = append(cells, cell{build: func() *run.Workload { return mk(rico) }, mode: run.HW, procs: 8})
 	}
-	return rows
+	return table[[]RicoRow]{cells: cells, result: eachRow(func(i int, r *run.Result) RicoRow {
+		return RicoRow{RICO: ricos[i], Failures: r.Failures}
+	}), print: func(w io.Writer, rows []RicoRow) {
+		tw := tabulate(w, "Ablation: privatization with vs without read-in/copy-out support", "read-in/copy-out\tfailed executions")
+		for _, r := range rows {
+			fmt.Fprintf(tw, "%t\t%d\n", r.RICO, r.Failures)
+		}
+		tw.Flush()
+		fmt.Fprint(w, "expected: read-first loops pass only with read-in support\n\n")
+	}}
 }
+
+// AblationReadIn shows the value of read-in/copy-out support (§3.3): a
+// loop whose first access to each element is a read passes only with
+// RICO.
+func (h *Harness) AblationReadIn() []RicoRow { return h.readIn().of(h) }
 
 // PrintAblationReadIn renders the read-in comparison.
-func (h *Harness) PrintAblationReadIn(w io.Writer) []RicoRow {
-	rows := h.AblationReadIn()
-	fmt.Fprintln(w, "Ablation: privatization with vs without read-in/copy-out support")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "read-in/copy-out\tfailed executions")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%t\t%d\n", r.RICO, r.Failures)
+func (h *Harness) PrintAblationReadIn(w io.Writer) []RicoRow { return h.readIn().printTo(h, w) }
+
+// ablationSections lists the ablations in presentation order.
+func (h *Harness) ablationSections() []section {
+	return []section{
+		h.trackChunks().section("trackchunks"),
+		h.contention().section("contention"),
+		h.bitGranularity().section("bitgrain"),
+		h.readIn().section("readin"),
+		h.epochs().section("epochs"),
+		h.sparseBackup().section("sparsebackup"),
+		h.privGranularity().section("privgrain"),
+		h.adaptive().section("adaptive"),
+		h.writeStall().section("writestall"),
+		h.directoryOccupancy().section("diroccupancy"),
+		h.meshContention().section("meshcontention"),
 	}
-	tw.Flush()
-	fmt.Fprintln(w, "expected: read-first loops pass only with read-in support")
-	fmt.Fprintln(w)
-	return rows
 }
 
-// Ablations runs all of them. Sections are independent experiment
-// suites, so each renders into its own buffer on the worker pool; the
-// buffers are then emitted in the fixed presentation order, keeping the
-// combined output byte-identical to a sequential run.
+// Ablations runs all of them. Every section's cells simulate as one
+// batch on the worker pool (figure cells the sections reuse are memo
+// hits); the sections then render in the fixed presentation order, so
+// the output is byte-identical to a sequential run.
 func (h *Harness) Ablations(w io.Writer) {
-	sections := []func(io.Writer){
-		func(w io.Writer) { h.PrintAblationTrackChunks(w) },
-		func(w io.Writer) { h.PrintAblationContention(w) },
-		func(w io.Writer) { h.PrintAblationBitGranularity(w) },
-		func(w io.Writer) { h.PrintAblationReadIn(w) },
-		func(w io.Writer) { h.PrintAblationEpochs(w) },
-		func(w io.Writer) { h.PrintAblationSparseBackup(w) },
-		func(w io.Writer) { h.PrintAblationPrivGranularity(w) },
-		func(w io.Writer) { h.PrintAblationAdaptive(w) },
-		func(w io.Writer) { h.PrintAblationWriteStall(w) },
-		func(w io.Writer) { h.PrintAblationDirectoryOccupancy(w) },
-		func(w io.Writer) { h.PrintAblationMeshContention(w) },
+	secs := h.ablationSections()
+	var cells []cell
+	for _, s := range secs {
+		cells = append(cells, s.cells...)
 	}
-	bufs := make([]bytes.Buffer, len(sections))
-	h.parallelMap(len(sections), func(i int) { sections[i](&bufs[i]) })
-	for i := range bufs {
-		w.Write(bufs[i].Bytes())
+	res := h.run(cells)
+	for _, s := range secs {
+		s.render(w, res[:len(s.cells)])
+		res = res[len(s.cells):]
 	}
 }

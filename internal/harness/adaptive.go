@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"text/tabwriter"
 
 	"specrt/internal/check"
 	"specrt/internal/core"
@@ -195,36 +194,32 @@ type DirectorRow struct {
 	Decisions []run.PolicyDecision
 }
 
-// DirectorCell simulates one cell.
-func (h *Harness) DirectorCell(workload, scheme string, instances int) DirectorRow {
-	w := adaptiveWorkload(workload, instances)
-	cfg := run.Config{
-		Procs: AdaptiveProcs, Mode: run.HW, Contention: true,
-		Topology: h.Topology, Placement: h.Placement,
-		MeshW: h.MeshW, MeshH: h.MeshH, DirMode: h.DirMode,
-		MaxExecutions: instances,
-		NoFastPath:    h.NoFastPath,
-	}
-	var res *run.Result
+// directorCell is one cell of the ablation: an adaptive run whose
+// director the config selects, or a pinned static one for the static:*
+// rows (the adaptive executor ignores the config's director then).
+func directorCell(workload, scheme string, instances int) cell {
+	var kind policy.DirectorKind
+	var static policy.Director
 	var err error
 	if st, ok := strings.CutPrefix(scheme, "static:"); ok {
 		var strat policy.Strategy
 		strat, err = policy.StrategyByName(st)
-		if err == nil {
-			res, err = run.ExecuteAdaptive(w, cfg, policy.NewStatic(policy.Decision{Strategy: strat}), nil)
-		}
+		static = policy.NewStatic(policy.Decision{Strategy: strat})
 	} else {
-		var kind policy.DirectorKind
 		kind, err = policy.DirectorByName(scheme)
-		cfg.Policy = policy.Adaptive
-		cfg.Director = kind
-		if err == nil {
-			res, err = run.Execute(w, cfg)
-		}
 	}
+	c := cell{build: func() *run.Workload { return adaptiveWorkload(workload, instances) },
+		mode: run.HW, procs: AdaptiveProcs, director: static, set: func(cfg *run.Config) {
+			cfg.MaxExecutions, cfg.Policy, cfg.Director = instances, policy.Adaptive, kind
+		}}
 	if err != nil {
 		panic("harness: adaptive cell " + workload + "/" + scheme + ": " + err.Error())
 	}
+	return c
+}
+
+// directorRow assembles one row from a cell's result.
+func directorRow(workload, scheme string, res *run.Result) DirectorRow {
 	row := DirectorRow{
 		Workload: workload, Scheme: scheme,
 		Learned:  !strings.HasPrefix(scheme, "static:"),
@@ -240,39 +235,69 @@ func (h *Harness) DirectorCell(workload, scheme string, instances int) DirectorR
 	return row
 }
 
+// DirectorCell simulates one cell.
+func (h *Harness) DirectorCell(workload, scheme string, instances int) DirectorRow {
+	return directorRow(workload, scheme, h.run([]cell{directorCell(workload, scheme, instances)})[0])
+}
+
+// directors is the full grid: every workload under every scheme,
+// instances loop instances per cell (<= 0 selects the scale's count).
+func (h *Harness) directors(instances int) table[[]DirectorRow] {
+	if instances <= 0 {
+		instances = AdaptiveInstances(h.Scale)
+	}
+	var cells []cell
+	for _, w := range AdaptiveWorkloads {
+		for _, s := range adaptiveSchemes {
+			cells = append(cells, directorCell(w, s, instances))
+		}
+	}
+	return table[[]DirectorRow]{cells: cells, result: func(res []*run.Result) []DirectorRow {
+		rows := make([]DirectorRow, len(res))
+		for i, r := range res {
+			rows[i] = directorRow(AdaptiveWorkloads[i/len(adaptiveSchemes)], adaptiveSchemes[i%len(adaptiveSchemes)], r)
+		}
+		for base := 0; base < len(rows); base += len(adaptiveSchemes) {
+			best := -1
+			for i := base; i < base+len(adaptiveSchemes); i++ {
+				if rows[i].Learned {
+					continue
+				}
+				if best < 0 || rows[i].Cycles < rows[best].Cycles {
+					best = i
+				}
+			}
+			rows[best].StaticBest = true
+		}
+		return rows
+	}, print: func(w io.Writer, rows []DirectorRow) {
+		tw := tabulate(w, fmt.Sprintf("Ablation: adaptive speculation directors (HW machine, %d procs, %d instances per cell)",
+			AdaptiveProcs, instances), "workload\tscheme\tcycles\tmean/inst\tfails\tswitches\tmispredicts")
+		for _, r := range rows {
+			mark := ""
+			if r.StaticBest {
+				mark = " *"
+			}
+			fmt.Fprintf(tw, "%s\t%s%s\t%d\t%.0f\t%d\t%d\t%d\n",
+				r.Workload, r.Scheme, mark, r.Cycles, r.MeanInst, r.Failures, r.Switches, r.Mispred)
+		}
+		tw.Flush()
+		fmt.Fprintln(w, "(* = best pinned static scheme of the workload)")
+		fmt.Fprintln(w, "decision traces (phase-mix):")
+		for _, r := range rows {
+			if r.Workload == "phase-mix" && r.Learned {
+				fmt.Fprintf(w, "  %s: %s\n", r.Scheme, DecisionTrace(r.Decisions))
+			}
+		}
+		fmt.Fprint(w, "expected: on the stationary loops the learned directors converge to the starred scheme (threshold matches it exactly on Ocean); on phase-mix, where each third has a different best answer, the best learned director beats every pinned static once the thirds are long enough to amortize exploration (>= 8 instances each, i.e. default scale and up)\n\n")
+	}}
+}
+
 // AblationDirectors runs the full grid: every workload under every
 // scheme, instances loop instances per cell. Cells fan out over the
 // worker pool; rows assemble in presentation order, with the cheapest
 // pinned static of each workload marked StaticBest.
-func (h *Harness) AblationDirectors(instances int) []DirectorRow {
-	if instances <= 0 {
-		instances = AdaptiveInstances(h.Scale)
-	}
-	type cellSpec struct{ workload, scheme string }
-	var specs []cellSpec
-	for _, w := range AdaptiveWorkloads {
-		for _, s := range adaptiveSchemes {
-			specs = append(specs, cellSpec{w, s})
-		}
-	}
-	rows := make([]DirectorRow, len(specs))
-	h.parallelMap(len(specs), func(i int) {
-		rows[i] = h.DirectorCell(specs[i].workload, specs[i].scheme, instances)
-	})
-	for base := 0; base < len(rows); base += len(adaptiveSchemes) {
-		best := -1
-		for i := base; i < base+len(adaptiveSchemes); i++ {
-			if rows[i].Learned {
-				continue
-			}
-			if best < 0 || rows[i].Cycles < rows[best].Cycles {
-				best = i
-			}
-		}
-		rows[best].StaticBest = true
-	}
-	return rows
-}
+func (h *Harness) AblationDirectors(instances int) []DirectorRow { return h.directors(instances).of(h) }
 
 // DecisionTrace renders a decision list as a compact run-length trace:
 // consecutive instances of the same strategy and outcome collapse into
@@ -313,33 +338,7 @@ func DecisionTrace(decs []run.PolicyDecision) string {
 // PrintAblationDirectors renders the director table plus the learned
 // directors' decision traces on the phase-changing loop.
 func (h *Harness) PrintAblationDirectors(w io.Writer, instances int) []DirectorRow {
-	if instances <= 0 {
-		instances = AdaptiveInstances(h.Scale)
-	}
-	rows := h.AblationDirectors(instances)
-	fmt.Fprintf(w, "Ablation: adaptive speculation directors (HW machine, %d procs, %d instances per cell)\n",
-		AdaptiveProcs, instances)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "workload\tscheme\tcycles\tmean/inst\tfails\tswitches\tmispredicts")
-	for _, r := range rows {
-		mark := ""
-		if r.StaticBest {
-			mark = " *"
-		}
-		fmt.Fprintf(tw, "%s\t%s%s\t%d\t%.0f\t%d\t%d\t%d\n",
-			r.Workload, r.Scheme, mark, r.Cycles, r.MeanInst, r.Failures, r.Switches, r.Mispred)
-	}
-	tw.Flush()
-	fmt.Fprintln(w, "(* = best pinned static scheme of the workload)")
-	fmt.Fprintln(w, "decision traces (phase-mix):")
-	for _, r := range rows {
-		if r.Workload == "phase-mix" && r.Learned {
-			fmt.Fprintf(w, "  %s: %s\n", r.Scheme, DecisionTrace(r.Decisions))
-		}
-	}
-	fmt.Fprintln(w, "expected: on the stationary loops the learned directors converge to the starred scheme (threshold matches it exactly on Ocean); on phase-mix, where each third has a different best answer, the best learned director beats every pinned static once the thirds are long enough to amortize exploration (>= 8 instances each, i.e. default scale and up)")
-	fmt.Fprintln(w)
-	return rows
+	return h.directors(instances).printTo(h, w)
 }
 
 // DirectorsResult wraps the rows for CSV emission.

@@ -9,9 +9,9 @@ package harness
 import (
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 	"sync/atomic"
-	"text/tabwriter"
 
 	"specrt/internal/directory"
 	"specrt/internal/interconnect"
@@ -44,16 +44,17 @@ var Default = Scale{Name: "default", OceanExecs: 16, AdmExecs: 16, TrackExecs: 5
 var Paper = Scale{Name: "paper", OceanExecs: 48, AdmExecs: 48, TrackExecs: 56, P3mIters: 15000}
 
 // Harness memoizes executions across experiments (Figures 11, 12 and 14
-// share runs) and distributes independent cells over a bounded worker
-// pool. It is safe for concurrent use.
+// share runs, and ablations reuse figure cells) and distributes
+// independent cells over a bounded worker pool. It is safe for
+// concurrent use.
 type Harness struct {
 	Scale Scale
 
-	// Topology and Placement apply to every simulated cell (the
-	// defaults — interconnect.Ideal, mem.RoundRobin — reproduce the
-	// paper's machine). Set them before the first Result call; cells
-	// are memoized per harness, so a harness models exactly one
-	// network/placement configuration.
+	// Topology and Placement apply to every simulated cell except
+	// where a cell sweeps the field itself (the mesh and wide
+	// ablations). The defaults — interconnect.Ideal, mem.RoundRobin —
+	// reproduce the paper's machine. Set them before the first Result
+	// call; cells are memoized per harness under their full config.
 	Topology  interconnect.Kind
 	Placement mem.Placement
 
@@ -61,7 +62,9 @@ type Harness struct {
 	// mesh (zero = the near-square auto shape), and DirMode selects the
 	// directory sharer representation (full-map by default; coarse
 	// enables the limited-pointer/coarse-vector directory). Like
-	// Topology, they apply to every figure cell.
+	// Topology, they apply to every cell that does not sweep them: the
+	// wide ablation sets its own directory mode and keeps the auto mesh
+	// shape at every width.
 	MeshW, MeshH int
 	DirMode      directory.Mode
 
@@ -74,10 +77,10 @@ type Harness struct {
 	par int           // worker-pool size
 	sem chan struct{} // bounds concurrently running simulations
 
-	mu    sync.Mutex
-	cells map[cellKey]*cell
+	mu   sync.Mutex
+	memo map[string]*memo // paper-loop cells by JobSpec.Key
 
-	simulated atomic.Int64 // cells actually executed (not memo hits)
+	simulated atomic.Int64 // simulations actually executed
 }
 
 // New creates a harness at the given scale that uses every host core.
@@ -94,32 +97,18 @@ func NewParallel(sc Scale, par int) *Harness {
 		Scale: sc,
 		par:   par,
 		sem:   make(chan struct{}, par),
-		cells: make(map[cellKey]*cell),
+		memo:  make(map[string]*memo),
 	}
 }
 
 // Parallelism reports the worker-pool size.
 func (h *Harness) Parallelism() int { return h.par }
 
-// CellsSimulated reports how many distinct cells have actually been
-// simulated (memoized hits excluded) — used to verify singleflight
-// deduplication under concurrency.
+// CellsSimulated reports how many simulations the harness has actually
+// executed: each distinct paper-loop cell once (memo hits excluded) plus
+// every synthetic-loop cell run — used to verify singleflight
+// deduplication under concurrency and cell reuse across experiments.
 func (h *Harness) CellsSimulated() int64 { return h.simulated.Load() }
-
-// workload instantiates a paper loop at the harness scale.
-func (h *Harness) workload(name string) (*run.Workload, int) {
-	switch name {
-	case "Ocean":
-		return loops.Ocean(), h.Scale.OceanExecs
-	case "P3m":
-		return loops.P3m(h.Scale.P3mIters), 1
-	case "Adm":
-		return loops.Adm(), h.Scale.AdmExecs
-	case "Track":
-		return loops.Track(), h.Scale.TrackExecs
-	}
-	panic("harness: unknown workload " + name)
-}
 
 // LoopNames lists the paper's loops in presentation order.
 var LoopNames = []string{"Ocean", "P3m", "Adm", "Track"}
@@ -130,38 +119,7 @@ var LoopNames = []string{"Ocean", "P3m", "Adm", "Track"}
 // and share its result. The worker-pool semaphore bounds how many cells
 // simulate at once machine-wide.
 func (h *Harness) Result(name string, mode run.Mode, procs int) *run.Result {
-	k := cellKey{name: name, mode: mode, procs: procs}
-	h.mu.Lock()
-	c := h.cells[k]
-	if c == nil {
-		c = &cell{}
-		h.cells[k] = c
-	}
-	h.mu.Unlock()
-	c.once.Do(func() {
-		h.sem <- struct{}{}
-		defer func() { <-h.sem }()
-		w, maxExec := h.workload(name)
-		c.res = run.MustExecute(w, run.Config{
-			Procs:         procs,
-			Mode:          mode,
-			Contention:    true,
-			MaxExecutions: maxExec,
-			Topology:      h.Topology,
-			Placement:     h.Placement,
-			MeshW:         h.MeshW,
-			MeshH:         h.MeshH,
-			DirMode:       h.DirMode,
-			NoFastPath:    h.NoFastPath,
-		})
-		h.simulated.Add(1)
-	})
-	return c.res
-}
-
-// Serial returns the uniprocessor baseline for a loop.
-func (h *Harness) Serial(name string) *run.Result {
-	return h.Result(name, run.Serial, 1)
+	return h.run([]cell{loopCell(name, mode, procs)})[0]
 }
 
 // ---------------------------------------------------------------------
@@ -187,55 +145,51 @@ type Fig11Result struct {
 	MeanIdeal float64
 }
 
-// Fig11 reproduces Figure 11. The sixteen cells simulate concurrently on
-// the worker pool; assembly below hits only memoized results, in
-// presentation order.
-func (h *Harness) Fig11() Fig11Result {
-	h.warm(speedupCells())
-	var res Fig11Result
-	var hws, sws, ids []float64
-	for _, name := range LoopNames {
-		procs := loops.Procs(name)
-		serial := h.Serial(name)
-		ideal := h.Result(name, run.Ideal, procs)
-		sw := h.Result(name, run.SW, procs)
-		hw := h.Result(name, run.HW, procs)
-		row := Fig11Row{
-			Loop:   name,
-			Procs:  procs,
-			Ideal:  run.Speedup(serial, ideal),
-			SW:     run.Speedup(serial, sw),
-			HW:     run.Speedup(serial, hw),
-			EffIdl: stats.Efficiency(serial, ideal),
-			EffSW:  stats.Efficiency(serial, sw),
-			EffHW:  stats.Efficiency(serial, hw),
+// fig11 is Figure 11 over the speedup grid (per loop: Serial, Ideal,
+// SW, HW).
+func (h *Harness) fig11() table[Fig11Result] {
+	return table[Fig11Result]{cells: speedupCells(), result: func(res []*run.Result) Fig11Result {
+		var out Fig11Result
+		var hws, sws, ids []float64
+		for i, name := range LoopNames {
+			serial, ideal, sw, hw := res[4*i], res[4*i+1], res[4*i+2], res[4*i+3]
+			row := Fig11Row{
+				Loop:   name,
+				Procs:  loops.Procs(name),
+				Ideal:  run.Speedup(serial, ideal),
+				SW:     run.Speedup(serial, sw),
+				HW:     run.Speedup(serial, hw),
+				EffIdl: stats.Efficiency(serial, ideal),
+				EffSW:  stats.Efficiency(serial, sw),
+				EffHW:  stats.Efficiency(serial, hw),
+			}
+			out.Rows = append(out.Rows, row)
+			hws = append(hws, row.HW)
+			sws = append(sws, row.SW)
+			ids = append(ids, row.Ideal)
 		}
-		res.Rows = append(res.Rows, row)
-		hws = append(hws, row.HW)
-		sws = append(sws, row.SW)
-		ids = append(ids, row.Ideal)
-	}
-	res.MeanHW = stats.Mean(hws)
-	res.MeanSW = stats.Mean(sws)
-	res.MeanIdeal = stats.Mean(ids)
-	return res
+		out.MeanHW = stats.Mean(hws)
+		out.MeanSW = stats.Mean(sws)
+		out.MeanIdeal = stats.Mean(ids)
+		return out
+	}, print: func(w io.Writer, res Fig11Result) {
+		tw := tabulate(w, fmt.Sprintf("Figure 11: speedups of the parallel executions (scale %s)", h.Scale.Name), "loop\tprocs\tIdeal\tSW\tHW\teff(Ideal)\teff(SW)\teff(HW)")
+		for _, r := range res.Rows {
+			fmt.Fprintf(tw, "%s\t%d\t%.2f\t%.2f\t%.2f\t%.2f\t%.2f\t%.2f\n",
+				r.Loop, r.Procs, r.Ideal, r.SW, r.HW, r.EffIdl, r.EffSW, r.EffHW)
+		}
+		fmt.Fprintf(tw, "mean\t\t%.2f\t%.2f\t%.2f\t\t\t\n", res.MeanIdeal, res.MeanSW, res.MeanHW)
+		tw.Flush()
+		fmt.Fprintf(w, "paper: HW avg ≈ 6.7 @16, SW avg ≈ 2.9 @16; HW ≈ 2x SW and halfway to Ideal\n\n")
+	}}
 }
 
+// Fig11 reproduces Figure 11. The sixteen cells simulate concurrently on
+// the worker pool; rows assemble in presentation order.
+func (h *Harness) Fig11() Fig11Result { return h.fig11().of(h) }
+
 // PrintFig11 renders the figure as a table.
-func (h *Harness) PrintFig11(w io.Writer) Fig11Result {
-	res := h.Fig11()
-	fmt.Fprintf(w, "Figure 11: speedups of the parallel executions (scale %s)\n", h.Scale.Name)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "loop\tprocs\tIdeal\tSW\tHW\teff(Ideal)\teff(SW)\teff(HW)")
-	for _, r := range res.Rows {
-		fmt.Fprintf(tw, "%s\t%d\t%.2f\t%.2f\t%.2f\t%.2f\t%.2f\t%.2f\n",
-			r.Loop, r.Procs, r.Ideal, r.SW, r.HW, r.EffIdl, r.EffSW, r.EffHW)
-	}
-	fmt.Fprintf(tw, "mean\t\t%.2f\t%.2f\t%.2f\t\t\t\n", res.MeanIdeal, res.MeanSW, res.MeanHW)
-	tw.Flush()
-	fmt.Fprintf(w, "paper: HW avg ≈ 6.7 @16, SW avg ≈ 2.9 @16; HW ≈ 2x SW and halfway to Ideal\n\n")
-	return res
-}
+func (h *Harness) PrintFig11(w io.Writer) Fig11Result { return h.fig11().printTo(h, w) }
 
 // ---------------------------------------------------------------------
 // Figure 12: execution time broken into Busy / Sync / Mem, normalized to
@@ -254,45 +208,35 @@ type Fig12Result struct {
 	Bars []Fig12Bar
 }
 
-// Fig12 reproduces Figure 12. It shares Figure 11's cell grid, so a
-// combined run simulates each cell once.
-func (h *Harness) Fig12() Fig12Result {
-	h.warm(speedupCells())
-	var res Fig12Result
-	for _, name := range LoopNames {
-		procs := loops.Procs(name)
-		serial := h.Serial(name)
-		for _, mode := range run.Modes {
-			p := procs
-			if mode == run.Serial {
-				p = 1
-			}
-			r := h.Result(name, mode, p)
-			res.Bars = append(res.Bars, Fig12Bar{
-				Loop:  name,
-				Mode:  mode,
-				Procs: p,
-				Norm:  stats.Normalize(r, serial),
-			})
+// fig12 is Figure 12: one bar per speedup-grid cell, normalized to its
+// loop's Serial baseline.
+func (h *Harness) fig12() table[Fig12Result] {
+	cells := speedupCells()
+	return table[Fig12Result]{cells: cells, result: func(res []*run.Result) Fig12Result {
+		var out Fig12Result
+		for i, c := range cells {
+			serial := res[i-i%len(run.Modes)]
+			out.Bars = append(out.Bars, Fig12Bar{Loop: c.loop, Mode: c.mode, Procs: c.procs,
+				Norm: stats.Normalize(res[i], serial)})
 		}
-	}
-	return res
+		return out
+	}, print: func(w io.Writer, res Fig12Result) {
+		tw := tabulate(w, fmt.Sprintf("Figure 12: execution time breakdown normalized to Serial (scale %s)", h.Scale.Name), "loop\tscheme\ttotal\tBusy\tMem\tSync")
+		for _, b := range res.Bars {
+			fmt.Fprintf(tw, "%s\t%v_%d\t%.3f\t%.3f\t%.3f\t%.3f\n",
+				b.Loop, b.Mode, b.Procs, b.Norm.Total(), b.Norm.Busy, b.Norm.Mem, b.Norm.Sync)
+		}
+		tw.Flush()
+		fmt.Fprintf(w, "paper: HW ≈ 50%% faster than SW; SW has higher Busy and Mem; Track SW has higher Sync\n\n")
+	}}
 }
 
+// Fig12 reproduces Figure 12. It shares Figure 11's cell grid, so a
+// combined run simulates each cell once.
+func (h *Harness) Fig12() Fig12Result { return h.fig12().of(h) }
+
 // PrintFig12 renders the figure.
-func (h *Harness) PrintFig12(w io.Writer) Fig12Result {
-	res := h.Fig12()
-	fmt.Fprintf(w, "Figure 12: execution time breakdown normalized to Serial (scale %s)\n", h.Scale.Name)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "loop\tscheme\ttotal\tBusy\tMem\tSync")
-	for _, b := range res.Bars {
-		fmt.Fprintf(tw, "%s\t%v_%d\t%.3f\t%.3f\t%.3f\t%.3f\n",
-			b.Loop, b.Mode, b.Procs, b.Norm.Total(), b.Norm.Busy, b.Norm.Mem, b.Norm.Sync)
-	}
-	tw.Flush()
-	fmt.Fprintf(w, "paper: HW ≈ 50%% faster than SW; SW has higher Busy and Mem; Track SW has higher Sync\n\n")
-	return res
-}
+func (h *Harness) PrintFig12(w io.Writer) Fig12Result { return h.fig12().printTo(h, w) }
 
 // ---------------------------------------------------------------------
 // Figure 13: execution time when the test fails, normalized to Serial.
@@ -314,68 +258,56 @@ type Fig13Result struct {
 	MeanHW float64 // paper: HW ≈ 1.22x Serial
 }
 
-// Fig13 reproduces Figure 13 by forcing the failure of one instance of
-// each loop (§6.2). The forced-failure runs are not shared with other
-// figures, so they are not memoized; the 4 loops x 3 schemes grid fans
-// out directly over the worker pool and rows assemble in paper order.
-func (h *Harness) Fig13() Fig13Result {
+// fig13 is Figure 13: each forced-failure loop under Serial, SW and HW
+// (Ocean at 8 processors, the others at 16).
+func (h *Harness) fig13() table[Fig13Result] {
 	fails := loops.ForcedFails(h.Scale.P3mIters)
-	results := make([][3]*run.Result, len(fails)) // [loop][serial, sw, hw]
-	h.parallelMap(len(fails)*3, func(j int) {
-		w, slot := fails[j/3], j%3
-		procs := 16
-		if w.Name == "Ocean-fail" {
-			procs = 8
-		}
-		cfg := run.Config{Procs: procs, Contention: true,
-			Topology: h.Topology, Placement: h.Placement,
-			MeshW: h.MeshW, MeshH: h.MeshH, DirMode: h.DirMode,
-			NoFastPath: h.NoFastPath}
-		switch slot {
-		case 0:
-			cfg.Procs, cfg.Mode = 1, run.Serial
-		case 1:
-			cfg.Mode = run.SW
-		case 2:
-			cfg.Mode = run.HW
-		}
-		results[j/3][slot] = run.MustExecute(w, cfg)
-	})
-	var res Fig13Result
-	var swn, hwn []float64
-	for i, w := range fails {
-		serial, sw, hw := results[i][0], results[i][1], results[i][2]
-		row := Fig13Row{
-			Loop:       w.Name,
-			SerialNorm: 1,
-			SWNorm:     float64(sw.Cycles) / float64(serial.Cycles),
-			HWNorm:     float64(hw.Cycles) / float64(serial.Cycles),
-			SWBars:     stats.Normalize(sw, serial),
-			HWBars:     stats.Normalize(hw, serial),
-		}
-		res.Rows = append(res.Rows, row)
-		swn = append(swn, row.SWNorm)
-		hwn = append(hwn, row.HWNorm)
+	var cells []cell
+	for _, w := range fails {
+		procs := loops.Procs(strings.TrimSuffix(w.Name, "-fail"))
+		build := func() *run.Workload { return w }
+		cells = append(cells, cell{build: build, mode: run.Serial, procs: 1},
+			cell{build: build, mode: run.SW, procs: procs}, cell{build: build, mode: run.HW, procs: procs})
 	}
-	res.MeanSW = stats.Mean(swn)
-	res.MeanHW = stats.Mean(hwn)
-	return res
+	return table[Fig13Result]{cells: cells, result: func(res []*run.Result) Fig13Result {
+		var out Fig13Result
+		var swn, hwn []float64
+		for i, w := range fails {
+			serial, sw, hw := res[3*i], res[3*i+1], res[3*i+2]
+			row := Fig13Row{
+				Loop:       w.Name,
+				SerialNorm: 1,
+				SWNorm:     float64(sw.Cycles) / float64(serial.Cycles),
+				HWNorm:     float64(hw.Cycles) / float64(serial.Cycles),
+				SWBars:     stats.Normalize(sw, serial),
+				HWBars:     stats.Normalize(hw, serial),
+			}
+			out.Rows = append(out.Rows, row)
+			swn = append(swn, row.SWNorm)
+			hwn = append(hwn, row.HWNorm)
+		}
+		out.MeanSW = stats.Mean(swn)
+		out.MeanHW = stats.Mean(hwn)
+		return out
+	}, print: func(w io.Writer, res Fig13Result) {
+		tw := tabulate(w, fmt.Sprintf("Figure 13: execution time when the test fails, normalized to Serial (scale %s)", h.Scale.Name), "loop\tSerial\tHW\tSW")
+		for _, r := range res.Rows {
+			fmt.Fprintf(tw, "%s\t1.00\t%.2f\t%.2f\n", r.Loop, r.HWNorm, r.SWNorm)
+		}
+		fmt.Fprintf(tw, "mean\t1.00\t%.2f\t%.2f\n", res.MeanHW, res.MeanSW)
+		tw.Flush()
+		fmt.Fprintf(w, "paper: HW ≈ 1.22x Serial on average, SW ≈ 1.58x; Track dominated by backup/restore\n\n")
+	}}
 }
 
+// Fig13 reproduces Figure 13 by forcing the failure of one instance of
+// each loop (§6.2). The forced-failure loops are synthetic cells, so
+// they are not memoized; the 4 loops x 3 schemes grid fans out over the
+// worker pool and rows assemble in paper order.
+func (h *Harness) Fig13() Fig13Result { return h.fig13().of(h) }
+
 // PrintFig13 renders the figure.
-func (h *Harness) PrintFig13(w io.Writer) Fig13Result {
-	res := h.Fig13()
-	fmt.Fprintf(w, "Figure 13: execution time when the test fails, normalized to Serial (scale %s)\n", h.Scale.Name)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "loop\tSerial\tHW\tSW")
-	for _, r := range res.Rows {
-		fmt.Fprintf(tw, "%s\t1.00\t%.2f\t%.2f\n", r.Loop, r.HWNorm, r.SWNorm)
-	}
-	fmt.Fprintf(tw, "mean\t1.00\t%.2f\t%.2f\n", res.MeanHW, res.MeanSW)
-	tw.Flush()
-	fmt.Fprintf(w, "paper: HW ≈ 1.22x Serial on average, SW ≈ 1.58x; Track dominated by backup/restore\n\n")
-	return res
-}
+func (h *Harness) PrintFig13(w io.Writer) Fig13Result { return h.fig13().printTo(h, w) }
 
 // ---------------------------------------------------------------------
 // Figure 14: scalability of the software and hardware schemes.
@@ -395,47 +327,54 @@ type Fig14Result struct {
 	Series []Fig14Series
 }
 
-// Fig14 reproduces Figure 14. Its 30-cell grid is the largest of the
-// figure set; warming it concurrently dominates the parallel speedup of
-// a full regeneration.
-func (h *Harness) Fig14() Fig14Result {
-	h.warm(scalabilityCells())
-	procCounts := []int{4, 8, 16}
-	var res Fig14Result
-	for _, name := range []string{"P3m", "Adm", "Track"} {
-		serial := h.Serial(name)
-		s := Fig14Series{Loop: name, Procs: procCounts}
-		for _, p := range procCounts {
-			s.Ideal = append(s.Ideal, run.Speedup(serial, h.Result(name, run.Ideal, p)))
-			s.SW = append(s.SW, run.Speedup(serial, h.Result(name, run.SW, p)))
-			s.HW = append(s.HW, run.Speedup(serial, h.Result(name, run.HW, p)))
+// scalingLoops and fig14Procs span the Figure 14 grid.
+var (
+	scalingLoops = []string{"P3m", "Adm", "Track"}
+	fig14Procs   = []int{4, 8, 16}
+)
+
+// fig14 is Figure 14 over the scalability grid.
+func (h *Harness) fig14() table[Fig14Result] {
+	return table[Fig14Result]{cells: scalabilityCells(), result: func(res []*run.Result) Fig14Result {
+		var out Fig14Result
+		for _, name := range scalingLoops {
+			serial := res[0]
+			s := Fig14Series{Loop: name, Procs: append([]int(nil), fig14Procs...)}
+			for i := range fig14Procs {
+				ideal, sw, hw := res[1+3*i], res[2+3*i], res[3+3*i]
+				s.Ideal = append(s.Ideal, run.Speedup(serial, ideal))
+				s.SW = append(s.SW, run.Speedup(serial, sw))
+				s.HW = append(s.HW, run.Speedup(serial, hw))
+			}
+			out.Series = append(out.Series, s)
+			res = res[1+3*len(fig14Procs):]
 		}
-		res.Series = append(res.Series, s)
-	}
-	return res
+		return out
+	}, print: func(w io.Writer, res Fig14Result) {
+		tw := tabulate(w, fmt.Sprintf("Figure 14: scalability of the software and hardware schemes (scale %s)", h.Scale.Name), "loop\tprocs\tIdeal\tSW\tHW")
+		for _, s := range res.Series {
+			for i, p := range s.Procs {
+				fmt.Fprintf(tw, "%s\t%d\t%.2f\t%.2f\t%.2f\n", s.Loop, p, s.Ideal[i], s.SW[i], s.HW[i])
+			}
+		}
+		tw.Flush()
+		fmt.Fprintf(w, "paper: SW curves saturate earlier; P3m SW is lower at 16 than at 8 processors\n\n")
+	}}
 }
+
+// Fig14 reproduces Figure 14. Its 30-cell grid is the largest of the
+// figure set; simulating it concurrently dominates the parallel speedup
+// of a full regeneration.
+func (h *Harness) Fig14() Fig14Result { return h.fig14().of(h) }
 
 // PrintFig14 renders the figure.
-func (h *Harness) PrintFig14(w io.Writer) Fig14Result {
-	res := h.Fig14()
-	fmt.Fprintf(w, "Figure 14: scalability of the software and hardware schemes (scale %s)\n", h.Scale.Name)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "loop\tprocs\tIdeal\tSW\tHW")
-	for _, s := range res.Series {
-		for i, p := range s.Procs {
-			fmt.Fprintf(tw, "%s\t%d\t%.2f\t%.2f\t%.2f\n", s.Loop, p, s.Ideal[i], s.SW[i], s.HW[i])
-		}
-	}
-	tw.Flush()
-	fmt.Fprintf(w, "paper: SW curves saturate earlier; P3m SW is lower at 16 than at 8 processors\n\n")
-	return res
-}
+func (h *Harness) PrintFig14(w io.Writer) Fig14Result { return h.fig14().printTo(h, w) }
 
 // All runs every experiment in paper order. The union of the figure
-// grids warms first so the worker pool sees every independent cell at
-// once; the printers then assemble from the memo.
+// grids simulates first so the worker pool sees every independent cell
+// at once; the printers then assemble from the memo.
 func (h *Harness) All(w io.Writer) {
-	h.warm(append(speedupCells(), scalabilityCells()...))
+	h.run(append(speedupCells(), scalabilityCells()...))
 	PrintLatencies(w)
 	h.PrintFig11(w)
 	h.PrintFig12(w)

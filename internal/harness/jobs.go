@@ -9,13 +9,14 @@ import (
 	"specrt/internal/run"
 )
 
-// The job API lifts the figure-grid executor into a form a long-running
+// The job API lifts the harness's cell runner into a form a long-running
 // service can use: arbitrary (workload, run.Config) pairs instead of the
-// fixed figure cells, content-hash keys instead of (name, mode, procs)
-// tuples, in-flight singleflight without the figure harness's permanent
-// memo (a server bounds its memory with an LRU above this layer), and
-// progress fan-out so every waiter of a collapsed duplicate observes the
-// one underlying simulation advance.
+// experiment tables, in-flight singleflight without the harness's
+// permanent memo (a server bounds its memory with an LRU above this
+// layer), and progress fan-out so every waiter of a collapsed duplicate
+// observes the one underlying simulation advance. Both key by
+// JobSpec.Key, so a harness cell and the same job sent to specrtd share
+// one content address.
 
 // JobSpec identifies one simulation job: a paper workload by name plus
 // the full execution config.
@@ -33,8 +34,7 @@ func (s JobSpec) Key() string {
 }
 
 // WorkloadByName resolves a paper loop at a scale, returning the
-// workload and the scale's execution cap (0 = no cap). It is the
-// non-panicking, exported form of the figure harness's resolver.
+// workload and the scale's execution cap (0 = no cap).
 func WorkloadByName(name string, sc Scale) (*run.Workload, int, error) {
 	switch name {
 	case "Ocean":

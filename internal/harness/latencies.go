@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"io"
-	"text/tabwriter"
 
 	"specrt/internal/machine"
 	"specrt/internal/mem"
@@ -52,9 +51,7 @@ func MeasureLatencies() []LatencyRow {
 // PrintLatencies renders the §5.1 latency table with measured probes.
 func PrintLatencies(w io.Writer) []LatencyRow {
 	rows := MeasureLatencies()
-	fmt.Fprintln(w, "Table (§5.1): unloaded round-trip latencies in cycles")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "level\tpaper\tconfigured\tmeasured")
+	tw := tabulate(w, "Table (§5.1): unloaded round-trip latencies in cycles", "level\tpaper\tconfigured\tmeasured")
 	for _, r := range rows {
 		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\n", r.Name, r.Paper, r.Configured, r.Measured)
 	}

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"io"
-	"text/tabwriter"
 
 	"specrt/internal/core"
 	"specrt/internal/interconnect"
@@ -59,48 +58,42 @@ func meshWorkload(test core.Protocol) *run.Workload {
 	}
 }
 
+// meshContention runs both loops under HW on the 2D mesh at each
+// placement; the cells sweep Topology and Placement.
+func (h *Harness) meshContention() table[[]MeshRow] {
+	places := []mem.Placement{mem.RoundRobin, mem.Local}
+	var cells []cell
+	for _, test := range []core.Protocol{core.NonPriv, core.Priv} {
+		for _, place := range places {
+			cells = append(cells, cell{build: func() *run.Workload { return meshWorkload(test) }, mode: run.HW, procs: 16,
+				set: func(c *run.Config) { c.Topology, c.Placement = interconnect.Mesh, place }})
+		}
+	}
+	return table[[]MeshRow]{cells: cells, result: eachRow(func(i int, r *run.Result) MeshRow {
+		return MeshRow{Loop: r.Workload[len("mesh-"):], Placement: places[i%len(places)],
+			Cycles: r.Cycles, Net: stats.Network(r)}
+	}), print: func(w io.Writer, rows []MeshRow) {
+		tw := tabulate(w, "Ablation: mesh contention, non-priv vs priv traffic (HW, 16 procs, 2D mesh)", "loop\tplacement\tcycles\tmessages\tlink wait\tmax link q\tmax home q\thome stall frac")
+		for _, r := range rows {
+			fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%.1f\t%d\t%d\t%.3f\n",
+				r.Loop, r.Placement, r.Cycles, r.Net.Messages, r.Net.LinkWaitMean,
+				r.Net.MaxLinkQueue, r.Net.MaxHomeQueue, r.Net.HomeStallFrac)
+		}
+		tw.Flush()
+		fmt.Fprint(w, "expected: non-priv bit updates ride the line fills; priv signal and copy-out traffic queues at the homes, collapsing under single-home placement\n\n")
+	}}
+}
+
 // AblationMeshContention runs the non-privatization and privatization
 // loops under HW on the 2D mesh, with pages interleaved across nodes and
 // with every page homed on node 0 (the hotspot a naive allocator
 // produces). Rows carry the network report so the collapse is visible in
 // link queueing and home-directory depth, not just cycles.
-func (h *Harness) AblationMeshContention() []MeshRow {
-	var rows []MeshRow
-	for _, test := range []core.Protocol{core.NonPriv, core.Priv} {
-		for _, place := range []mem.Placement{mem.RoundRobin, mem.Local} {
-			w := meshWorkload(test)
-			r := run.MustExecute(w, run.Config{
-				Procs: 16, Mode: run.HW, Contention: true,
-				Topology:   interconnect.Mesh,
-				Placement:  place,
-				NoFastPath: h.NoFastPath,
-			})
-			rows = append(rows, MeshRow{
-				Loop:      w.Name[len("mesh-"):],
-				Placement: place,
-				Cycles:    r.Cycles,
-				Net:       stats.Network(r),
-			})
-		}
-	}
-	return rows
-}
+func (h *Harness) AblationMeshContention() []MeshRow { return h.meshContention().of(h) }
 
 // PrintAblationMeshContention renders the mesh comparison.
 func (h *Harness) PrintAblationMeshContention(w io.Writer) []MeshRow {
-	rows := h.AblationMeshContention()
-	fmt.Fprintln(w, "Ablation: mesh contention, non-priv vs priv traffic (HW, 16 procs, 2D mesh)")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "loop\tplacement\tcycles\tmessages\tlink wait\tmax link q\tmax home q\thome stall frac")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%.1f\t%d\t%d\t%.3f\n",
-			r.Loop, r.Placement, r.Cycles, r.Net.Messages, r.Net.LinkWaitMean,
-			r.Net.MaxLinkQueue, r.Net.MaxHomeQueue, r.Net.HomeStallFrac)
-	}
-	tw.Flush()
-	fmt.Fprintln(w, "expected: non-priv bit updates ride the line fills; priv signal and copy-out traffic queues at the homes, collapsing under single-home placement")
-	fmt.Fprintln(w)
-	return rows
+	return h.meshContention().printTo(h, w)
 }
 
 // MeshResult wraps the rows for CSV emission.

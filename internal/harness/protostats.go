@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"io"
-	"text/tabwriter"
 
 	"specrt/internal/loops"
 	"specrt/internal/run"
@@ -43,7 +42,7 @@ func (h *Harness) ProtoStats() []ProtoStatsRow {
 		reads := m.Reads + c.NonPrivReads + c.PrivReads
 		writes := m.Writes + c.NonPrivWrites + c.PrivWrites
 		accesses := reads + writes
-		hits := float64(m.L1Hits) / float64(max64(accesses, 1))
+		hits := float64(m.L1Hits) / float64(max(accesses, 1))
 		row := ProtoStatsRow{
 			Loop:          name,
 			Procs:         procs,
@@ -69,19 +68,10 @@ func (h *Harness) ProtoStats() []ProtoStatsRow {
 	return rows
 }
 
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // PrintProtoStats renders the protocol-activity table.
 func (h *Harness) PrintProtoStats(w io.Writer) []ProtoStatsRow {
 	rows := h.ProtoStats()
-	fmt.Fprintf(w, "Protocol activity under the HW scheme (scale %s)\n", h.Scale.Name)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "loop\taccesses\tL1 hit\tfills\tinval\twbacks\tspec msgs\tmsgs/1k acc\tFupd\tROupd\tbounce\tR1st\tW1st\treadin")
+	tw := tabulate(w, fmt.Sprintf("Protocol activity under the HW scheme (scale %s)", h.Scale.Name), "loop\taccesses\tL1 hit\tfills\tinval\twbacks\tspec msgs\tmsgs/1k acc\tFupd\tROupd\tbounce\tR1st\tW1st\treadin")
 	for _, r := range rows {
 		fmt.Fprintf(tw, "%s\t%d\t%.3f\t%d\t%d\t%d\t%d\t%.1f\t%d\t%d\t%d\t%d\t%d\t%d\n",
 			r.Loop, r.Reads+r.Writes, r.L1HitRate, r.Fetches, r.Invalidations,
@@ -89,7 +79,6 @@ func (h *Harness) PrintProtoStats(w io.Writer) []ProtoStatsRow {
 			r.FirstUpdates, r.ROnlyUpdates, r.Bounces, r.ReadFirsts, r.FirstWrites, r.ReadIns)
 	}
 	tw.Flush()
-	fmt.Fprintln(w, "the extensions are designed to minimize the increase in traffic (§3.2)")
-	fmt.Fprintln(w)
+	fmt.Fprint(w, "the extensions are designed to minimize the increase in traffic (§3.2)\n\n")
 	return rows
 }

@@ -3,12 +3,10 @@ package harness
 import (
 	"fmt"
 	"io"
-	"text/tabwriter"
 
 	"specrt/internal/core"
 	"specrt/internal/directory"
 	"specrt/internal/interconnect"
-	"specrt/internal/loops"
 	"specrt/internal/run"
 	"specrt/internal/sched"
 	"specrt/internal/stats"
@@ -96,81 +94,77 @@ func wideWorkload(procs int) *run.Workload {
 // the paper's Ocean loop (one execution) and the generated scaling loop.
 var wideWorkloads = []string{"Ocean", "gen"}
 
+// wide is the ablation over the given row keys (Workload, Procs, Dir,
+// Topology); the results fill in the measurements. Every cell is an HW
+// run with the scaled-down caches that owns its mesh shape (auto at
+// every width), so an explicit harness MeshW/MeshH never caps the ladder.
+func (h *Harness) wide(keys []WideRow) table[[]WideRow] {
+	var cells []cell
+	for _, k := range keys {
+		c := cell{loop: k.Workload, mode: run.HW, procs: k.Procs, set: func(c *run.Config) {
+			c.Topology, c.DirMode, c.MeshW, c.MeshH = k.Topology, k.Dir, 0, 0
+			c.L1Bytes, c.L2Bytes, c.MaxExecutions = 8<<10, 64<<10, 1
+		}}
+		switch k.Workload {
+		case "Ocean":
+		case "gen":
+			c.loop, c.build = "", func() *run.Workload { return wideWorkload(k.Procs) }
+		default:
+			panic("harness: unknown wide workload " + k.Workload)
+		}
+		cells = append(cells, c)
+	}
+	return table[[]WideRow]{cells: cells, result: eachRow(func(i int, r *run.Result) WideRow {
+		row := keys[i]
+		row.Cycles, row.Invals, row.Net = r.Cycles, r.MachineStats.Invalidations, stats.Network(r)
+		return row
+	}), print: func(w io.Writer, rows []WideRow) {
+		tw := tabulate(w, "Ablation: wide-scale directory scaling (HW, 8KB L1 / 64KB L2)", "workload\tprocs\tdirectory\ttopology\tcycles\tinvals\tmessages\tlink wait\tmax home q")
+		for _, r := range rows {
+			fmt.Fprintf(tw, "%s\t%d\t%v\t%v\t%d\t%d\t%d\t%.1f\t%d\n",
+				r.Workload, r.Procs, r.Dir, r.Topology, r.Cycles, r.Invals,
+				r.Net.Messages, r.Net.LinkWaitMean, r.Net.MaxHomeQueue)
+		}
+		tw.Flush()
+		fmt.Fprint(w, "expected: once sharer sets outgrow the pointer slots, coarse invalidates a superset (more invals at the same cycles shape); the mesh's hop distance grows with the ladder while the crossbar pays only port contention\n\n")
+	}}
+}
+
 // WideCell simulates one cell of the ablation: an HW run of the named
 // workload at the given width, directory mode and topology, with the
 // ablation's scaled-down caches.
 func (h *Harness) WideCell(workload string, procs int, dir directory.Mode, topo interconnect.Kind) WideRow {
-	var w *run.Workload
-	switch workload {
-	case "Ocean":
-		w = loops.Ocean()
-	case "gen":
-		w = wideWorkload(procs)
-	default:
-		panic("harness: unknown wide workload " + workload)
+	return h.wide([]WideRow{{Workload: workload, Procs: procs, Dir: dir, Topology: topo}}).of(h)[0]
+}
+
+// wideLadder lists the row keys of procs x workloads x {full-map, coarse}
+// x {mesh, crossbar}, in ladder order; an empty procsList selects the
+// full ladder.
+func wideLadder(procsList []int) []WideRow {
+	if len(procsList) == 0 {
+		procsList = WideProcs
 	}
-	r := run.MustExecute(w, run.Config{
-		Procs: procs, Mode: run.HW, Contention: true,
-		Topology: topo, Placement: h.Placement,
-		DirMode:       dir,
-		L1Bytes:       8 << 10,
-		L2Bytes:       64 << 10,
-		MaxExecutions: 1,
-		NoFastPath:    h.NoFastPath,
-	})
-	return WideRow{
-		Workload: workload, Procs: procs, Dir: dir, Topology: topo,
-		Cycles: r.Cycles, Invals: r.MachineStats.Invalidations,
-		Net: stats.Network(r),
+	var keys []WideRow
+	for _, procs := range procsList {
+		for _, workload := range wideWorkloads {
+			for _, dir := range []directory.Mode{directory.FullMap, directory.Coarse} {
+				for _, topo := range []interconnect.Kind{interconnect.Mesh, interconnect.Crossbar} {
+					keys = append(keys, WideRow{Workload: workload, Procs: procs, Dir: dir, Topology: topo})
+				}
+			}
+		}
 	}
+	return keys
 }
 
 // AblationWide sweeps procs x {full-map, coarse} x {mesh, crossbar}
 // over the wide workloads. An empty procsList selects the full ladder.
 // Cells fan out over the worker pool; rows assemble in ladder order.
-func (h *Harness) AblationWide(procsList []int) []WideRow {
-	if len(procsList) == 0 {
-		procsList = WideProcs
-	}
-	type cellSpec struct {
-		workload string
-		procs    int
-		dir      directory.Mode
-		topo     interconnect.Kind
-	}
-	var specs []cellSpec
-	for _, procs := range procsList {
-		for _, workload := range wideWorkloads {
-			for _, dir := range []directory.Mode{directory.FullMap, directory.Coarse} {
-				for _, topo := range []interconnect.Kind{interconnect.Mesh, interconnect.Crossbar} {
-					specs = append(specs, cellSpec{workload, procs, dir, topo})
-				}
-			}
-		}
-	}
-	rows := make([]WideRow, len(specs))
-	h.parallelMap(len(specs), func(i int) {
-		s := specs[i]
-		rows[i] = h.WideCell(s.workload, s.procs, s.dir, s.topo)
-	})
-	return rows
-}
+func (h *Harness) AblationWide(procsList []int) []WideRow { return h.wide(wideLadder(procsList)).of(h) }
 
 // PrintAblationWide renders the scaling table.
 func (h *Harness) PrintAblationWide(w io.Writer, procsList []int) []WideRow {
-	rows := h.AblationWide(procsList)
-	fmt.Fprintln(w, "Ablation: wide-scale directory scaling (HW, 8KB L1 / 64KB L2)")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "workload\tprocs\tdirectory\ttopology\tcycles\tinvals\tmessages\tlink wait\tmax home q")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%d\t%v\t%v\t%d\t%d\t%d\t%.1f\t%d\n",
-			r.Workload, r.Procs, r.Dir, r.Topology, r.Cycles, r.Invals,
-			r.Net.Messages, r.Net.LinkWaitMean, r.Net.MaxHomeQueue)
-	}
-	tw.Flush()
-	fmt.Fprintln(w, "expected: once sharer sets outgrow the pointer slots, coarse invalidates a superset (more invals at the same cycles shape); the mesh's hop distance grows with the ladder while the crossbar pays only port contention")
-	fmt.Fprintln(w)
-	return rows
+	return h.wide(wideLadder(procsList)).printTo(h, w)
 }
 
 // WideResult wraps the rows for CSV emission.
