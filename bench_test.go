@@ -22,6 +22,7 @@ import (
 
 	"specrt"
 
+	"specrt/internal/cache"
 	"specrt/internal/core"
 	"specrt/internal/directory"
 	"specrt/internal/harness"
@@ -201,14 +202,74 @@ func BenchmarkPlainReadMissRemote(b *testing.B) {
 	m := benchMachine(2)
 	r := m.Space.Alloc("A", 1<<20, 4, mem.Local, 1)
 	// One remote miss to a line outside the timed sequence performs the
-	// machine's one-time lazy setup (home queue ring, directory table,
-	// cache set list), so even a single timed iteration measures only a
-	// steady-state miss.
+	// machine's one-time lazy setup (home queue ring, directory table),
+	// so even a single timed iteration measures only a steady-state miss.
 	warm := m.Space.Alloc("W", 16, 4, mem.Local, 1)
 	m.Read(0, warm.ElemAddr(0))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Read(0, r.ElemAddr((i*16)%(1<<20)))
+	}
+}
+
+// BenchmarkDirTxn1024Spill is one directory transaction round at 1024
+// processors with a full-map directory: every processor reads the same
+// line, so its sharer set outgrows the inline word and spills to slabs,
+// then processor 0 writes it and 1023 invalidations go through
+// takeProcLine. Caches are the wide cells' 8 KB / 64 KB; contention is
+// off so the op measures directory and cache work, not home queueing.
+// Each round's spill takes a fresh slab from the directory's bump arena,
+// which only the between-executions flush reclaims, so the op shows the
+// arena's amortized growth as about one allocation.
+func BenchmarkDirTxn1024Spill(b *testing.B) {
+	const procs = 1024
+	cfg := machine.DefaultConfig(procs)
+	cfg.L1.SizeBytes, cfg.L2.SizeBytes = 8*1024, 64*1024
+	cfg.DirMode = directory.FullMap
+	cfg.Contention = false
+	m := machine.MustNew(cfg)
+	defer m.Release()
+	a := m.Space.Alloc("A", 16, 4, mem.Local, 0).ElemAddr(0)
+	round := func() {
+		for p := 0; p < procs; p++ {
+			m.Read(p, a)
+		}
+		m.Write(0, a)
+	}
+	round() // first spill grows the slab store outside the timed loop
+	before := m.Stats.Invalidations
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+	b.StopTimer()
+	if got := m.Stats.Invalidations - before; got != uint64(b.N)*(procs-1) {
+		b.Fatalf("invalidations = %d, want %d", got, uint64(b.N)*(procs-1))
+	}
+}
+
+// BenchmarkCacheFlushSparse refills an 8192-set L2 with 64 scattered
+// lines (every fourth one dirty) and flushes it, once per op: the
+// between-executions flush of a mostly empty cache.
+func BenchmarkCacheFlushSparse(b *testing.B) {
+	c := cache.New(cache.Config{SizeBytes: 512 * 1024, LineBytes: 64})
+	defer c.Release()
+	wb := 0
+	onDirty := func(cache.Line) { wb++ }
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < 64; j++ {
+			st := cache.Clean
+			if j%4 == 0 {
+				st = cache.Dirty
+			}
+			c.Install(mem.Addr(j*4093*64), st, nil) // 4093 is prime: scattered sets
+		}
+		c.FlushAll(onDirty)
+	}
+	b.StopTimer()
+	if wb != 16*b.N {
+		b.Fatalf("writebacks = %d, want %d", wb, 16*b.N)
 	}
 }
 

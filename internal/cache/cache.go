@@ -11,7 +11,6 @@ package cache
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 	"sync"
 
 	"specrt/internal/abits"
@@ -59,8 +58,23 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Line is one cache frame. Tag is the line-aligned base address of the
-// resident line (meaningful only when State != Invalid).
+// Frame is one stored cache frame. Tag is the line-aligned base address
+// of the resident line (meaningful only when State != Invalid). The
+// frame's access bits live in its window of the cache's slab, found from
+// the set index; bits records whether the window currently holds them
+// (read them with Cache.Bits). Frame holds no pointers, so a frame array
+// is 16 bytes per set and never scanned by the garbage collector.
+type Frame struct {
+	Tag   mem.Addr
+	State State
+	bits  bool
+}
+
+// Line is a frame's contents handed out by value: an evicted victim, the
+// prior contents returned by Invalidate and Downgrade, and the frames
+// passed to FlushAll and ForEach callbacks. Bits (nil for a plain line)
+// aliases cache-owned storage that stays valid until the cache next
+// installs or writes bits; consumers copy what they keep.
 type Line struct {
 	Tag   mem.Addr
 	State State
@@ -84,7 +98,7 @@ type Stats struct {
 type Cache struct {
 	cfg     Config
 	sets    int
-	lines   []Line
+	frames  []Frame
 	wpl     int // access-bit words per line
 	slab    []abits.Word
 	scratch []abits.Word // last window of the slab
@@ -99,23 +113,31 @@ type Cache struct {
 	lineShift uint64
 	setMask   uint64
 
-	// used records set indices that have held a valid line since the last
-	// FlushAll (appended on each Invalid->valid transition in Install).
-	// Whole-cache walks visit only these frames — in sorted order, so
-	// observable effects (writeback callbacks, bit resets) are identical
-	// to a full frame scan — instead of touching every frame of a mostly
-	// empty cache between executions.
-	used []int32
+	// occ has one bit per set, set exactly when the frame holds a valid
+	// line. Whole-cache walks visit only the set bits, in ascending set
+	// order, so observable effects (writeback callbacks, bit resets) are
+	// identical to a full frame scan without touching every frame of a
+	// mostly empty cache between executions.
+	occ    []uint64
+	pooled *frameArrays // the pool entry frames and occ came from
+}
+
+// frameArrays is one pooled frame array together with its occupancy
+// bitmap, so building a cache takes both from a single pool entry.
+type frameArrays struct {
+	frames []Frame
+	occ    []uint64
 }
 
 // slabPool recycles access-bit slabs between cache instances, keyed by
-// slab length (pointer-boxed so Put does not allocate). linePool does
-// the same for the frame arrays. A mutex-guarded plain map is used
-// rather than sync.Map so the int key is not boxed on every lookup.
+// slab length (pointer-boxed so Put does not allocate). framePool does
+// the same for frame arrays, keyed by set count. A mutex-guarded plain
+// map is used rather than sync.Map so the int key is not boxed on every
+// lookup.
 var (
-	poolMu   sync.Mutex
-	slabPool = map[int]*sync.Pool{}
-	linePool = map[int]*sync.Pool{}
+	poolMu    sync.Mutex
+	slabPool  = map[int]*sync.Pool{}
+	framePool = map[int]*sync.Pool{}
 )
 
 func poolFor(m map[int]*sync.Pool, size int) *sync.Pool {
@@ -140,20 +162,19 @@ func putSlab(s []abits.Word) {
 	poolFor(slabPool, len(s)).Put(&s)
 }
 
-// getLines returns an all-Invalid frame array. Pooled arrays are already
-// zeroed: Release clears exactly the frames the used list covers, which
-// is every frame that has held a line since the last FlushAll (frames
-// invalidated individually are zeroed at that point), so a full
-// clear — 320 KB per L2 per execution — is not needed here.
-func getLines(sets int) []Line {
-	if v := poolFor(linePool, sets).Get(); v != nil {
-		return *(v.(*[]Line))
+// getFrames returns an all-Invalid frame array and an all-clear bitmap.
+// Pooled entries are already zeroed: Release clears exactly the frames
+// whose occupancy bits are set, which is every valid frame (frames
+// invalidated individually or flushed are zeroed at that point), so a
+// full clear — 128 KB per 512 KB L2 per execution — is not needed here.
+func getFrames(sets int) *frameArrays {
+	if v := poolFor(framePool, sets).Get(); v != nil {
+		return v.(*frameArrays)
 	}
-	return make([]Line, sets)
-}
-
-func putLines(lines []Line) {
-	poolFor(linePool, len(lines)).Put(&lines)
+	return &frameArrays{
+		frames: make([]Frame, sets),
+		occ:    make([]uint64, (sets+63)/64),
+	}
 }
 
 // New builds a cache; it panics on invalid configuration (a programming
@@ -165,13 +186,16 @@ func New(cfg Config) *Cache {
 	sets := cfg.SizeBytes / cfg.LineBytes
 	wpl := abits.WordsPerLine(cfg.LineBytes)
 	slab := getSlab((sets + 1) * wpl)
+	fa := getFrames(sets)
 	c := &Cache{
 		cfg:     cfg,
 		sets:    sets,
-		lines:   getLines(sets),
+		frames:  fa.frames,
 		wpl:     wpl,
 		slab:    slab,
 		scratch: slab[sets*wpl : (sets+1)*wpl : (sets+1)*wpl],
+		occ:     fa.occ,
+		pooled:  fa,
 	}
 	if cfg.LineBytes&(cfg.LineBytes-1) == 0 && sets&(sets-1) == 0 {
 		c.pow2 = true
@@ -194,14 +218,16 @@ func (c *Cache) Release() {
 	if c.slab == nil {
 		return
 	}
-	// Restore the pooled-array invariant (see getLines): zero every frame
-	// touched since the last FlushAll; the rest are already zero.
-	for _, i := range c.used {
-		c.lines[i] = Line{}
+	// Restore the pooled-entry invariant (see getFrames): zero every
+	// valid frame and its occupancy word; the rest are already zero.
+	for wi, w := range c.occ {
+		for ; w != 0; w &= w - 1 {
+			c.frames[wi<<6|bits.TrailingZeros64(w)] = Frame{}
+		}
+		c.occ[wi] = 0
 	}
-	c.used = c.used[:0]
-	putLines(c.lines)
-	c.lines = nil
+	poolFor(framePool, c.sets).Put(c.pooled)
+	c.frames, c.occ, c.pooled = nil, nil, nil
 	putSlab(c.slab)
 	c.slab = nil
 	c.scratch = nil
@@ -229,9 +255,9 @@ func (c *Cache) set(line mem.Addr) int {
 
 // Lookup returns the frame holding the line containing a, or nil on miss.
 // It does not update statistics; callers record hit/miss once per access.
-func (c *Cache) Lookup(a mem.Addr) *Line {
+func (c *Cache) Lookup(a mem.Addr) *Frame {
 	line := c.LineAddr(a)
-	fr := &c.lines[c.set(line)]
+	fr := &c.frames[c.set(line)]
 	if fr.State != Invalid && fr.Tag == line {
 		return fr
 	}
@@ -243,8 +269,8 @@ func (c *Cache) Lookup(a mem.Addr) *Line {
 // performing probe: the execution fast path asks what Install would
 // displace before deciding whether an access is locally deterministic,
 // without touching statistics or state.
-func (c *Cache) SetOccupant(a mem.Addr) *Line {
-	fr := &c.lines[c.set(c.LineAddr(a))]
+func (c *Cache) SetOccupant(a mem.Addr) *Frame {
+	fr := &c.frames[c.set(c.LineAddr(a))]
 	if fr.State == Invalid {
 		return nil
 	}
@@ -252,7 +278,7 @@ func (c *Cache) SetOccupant(a mem.Addr) *Line {
 }
 
 // Probe is Lookup plus hit/miss accounting.
-func (c *Cache) Probe(a mem.Addr) *Line {
+func (c *Cache) Probe(a mem.Addr) *Frame {
 	fr := c.Lookup(a)
 	if fr != nil {
 		c.Stats.Hits++
@@ -262,22 +288,39 @@ func (c *Cache) Probe(a mem.Addr) *Line {
 	return fr
 }
 
-// Install places the line containing a into its frame with the given state
-// and access bits (bits may be nil for a plain line; a zeroed bit array is
-// allocated lazily when first needed). If a different line occupied the
-// frame it is returned as the victim.
+// Bits returns the access-bit window of fr, a valid frame of this cache,
+// or nil when the line carries no bits yet. The slice aliases the frame's
+// slab window: writes through it update the line's bits in place.
+func (c *Cache) Bits(fr *Frame) []abits.Word {
+	if !fr.bits {
+		return nil
+	}
+	return c.window(c.set(fr.Tag))
+}
+
+// Install places the line containing a into its frame with the given
+// valid state and access bits (bits may be nil for a plain line; a zeroed
+// bit array is claimed lazily when first needed). If a different line
+// occupied the frame it is returned as the victim.
 func (c *Cache) Install(a mem.Addr, st State, bits []abits.Word) (victim Line, evicted bool) {
+	if bits != nil && len(bits) != c.wpl {
+		panic(fmt.Sprintf("cache: bits len %d, want %d", len(bits), c.wpl))
+	}
 	line := c.LineAddr(a)
 	set := c.set(line)
-	fr := &c.lines[set]
-	if fr.State != Invalid && fr.Tag != line {
-		victim, evicted = *fr, true
-		if victim.Bits != nil {
-			// The victim's Bits alias this frame's slab window, which the
-			// new line is about to overwrite; move them to the scratch
-			// window. The caller consumes the victim (writeback) before
-			// the next Install into this cache, so one scratch suffices.
-			copy(c.scratch, victim.Bits)
+	fr := &c.frames[set]
+	switch {
+	case fr.State == Invalid:
+		c.occ[set>>6] |= 1 << (set & 63)
+	case fr.Tag != line:
+		victim, evicted = Line{Tag: fr.Tag, State: fr.State}, true
+		if fr.bits {
+			// The victim's bits sit in this frame's slab window, which
+			// the new line is about to overwrite; move them to the
+			// scratch window. The caller consumes the victim (writeback)
+			// before the next Install into this cache, so one scratch
+			// suffices.
+			copy(c.scratch, c.window(set))
 			victim.Bits = c.scratch
 		}
 		c.Stats.Evictions++
@@ -285,58 +328,56 @@ func (c *Cache) Install(a mem.Addr, st State, bits []abits.Word) (victim Line, e
 			c.Stats.Writebacks++
 		}
 	}
-	if fr.State == Invalid {
-		c.used = append(c.used, int32(set))
-	}
-	fr.Tag = line
-	fr.State = st
+	*fr = Frame{Tag: line, State: st, bits: bits != nil}
 	if bits != nil {
-		if len(bits) != c.wpl {
-			panic(fmt.Sprintf("cache: bits len %d, want %d", len(bits), c.wpl))
-		}
-		w := c.window(set)
-		copy(w, bits)
-		fr.Bits = w
-	} else {
-		fr.Bits = nil
+		copy(c.window(set), bits)
 	}
 	return victim, evicted
 }
 
-// EnsureBits returns the line's access-bit window, zeroing it if the
+// EnsureBits returns the frame's access-bit window, zeroing it if the
 // line was installed without bits.
-func (c *Cache) EnsureBits(fr *Line) []abits.Word {
-	if fr.Bits == nil {
-		w := c.window(c.set(fr.Tag))
+func (c *Cache) EnsureBits(fr *Frame) []abits.Word {
+	w := c.window(c.set(fr.Tag))
+	if !fr.bits {
 		clear(w)
-		fr.Bits = w
+		fr.bits = true
 	}
-	return fr.Bits
+	return w
 }
 
-// SetBits overwrites the line's access bits with a copy of bits,
-// claiming the frame's slab window if the line had none. It replaces
-// the fresh-slice append idiom the map era needed.
-func (c *Cache) SetBits(fr *Line, bits []abits.Word) {
+// SetBits overwrites the frame's access bits with a copy of bits,
+// claiming the frame's slab window if the line had none.
+func (c *Cache) SetBits(fr *Frame, bits []abits.Word) {
 	if len(bits) != c.wpl {
 		panic(fmt.Sprintf("cache: bits len %d, want %d", len(bits), c.wpl))
 	}
-	if fr.Bits == nil {
-		fr.Bits = c.window(c.set(fr.Tag))
+	fr.bits = true
+	copy(c.window(c.set(fr.Tag)), bits)
+}
+
+// line returns frame i's contents as a Line whose Bits alias its window.
+func (c *Cache) line(i int) Line {
+	fr := &c.frames[i]
+	l := Line{Tag: fr.Tag, State: fr.State}
+	if fr.bits {
+		l.Bits = c.window(i)
 	}
-	copy(fr.Bits, bits)
+	return l
 }
 
 // Invalidate removes the line containing a if present, returning its prior
 // contents (needed for writebacks carrying access bits).
 func (c *Cache) Invalidate(a mem.Addr) (old Line, ok bool) {
 	line := c.LineAddr(a)
-	fr := &c.lines[c.set(line)]
+	set := c.set(line)
+	fr := &c.frames[set]
 	if fr.State == Invalid || fr.Tag != line {
 		return Line{}, false
 	}
-	old = *fr
-	*fr = Line{}
+	old = c.line(set)
+	*fr = Frame{}
+	c.occ[set>>6] &^= 1 << (set & 63)
 	return old, true
 }
 
@@ -344,23 +385,14 @@ func (c *Cache) Invalidate(a mem.Addr) (old Line, ok bool) {
 // prior contents so the caller can write data and bits back to memory.
 func (c *Cache) Downgrade(a mem.Addr) (old Line, ok bool) {
 	line := c.LineAddr(a)
-	fr := &c.lines[c.set(line)]
+	set := c.set(line)
+	fr := &c.frames[set]
 	if fr.State == Invalid || fr.Tag != line {
 		return Line{}, false
 	}
-	old = *fr
+	old = c.line(set)
 	fr.State = Clean
 	return old, true
-}
-
-// touched returns the set indices that may hold valid lines, sorted and
-// deduplicated, so sparse walks observe frames in the same ascending
-// order a full scan would. Entries may point at since-invalidated
-// frames; callers check State.
-func (c *Cache) touched() []int32 {
-	slices.Sort(c.used)
-	c.used = slices.Compact(c.used)
-	return c.used
 }
 
 // FlushAll invalidates every line, invoking cb for each dirty line so the
@@ -368,14 +400,16 @@ func (c *Cache) touched() []int32 {
 // flush the caches after every execution").
 func (c *Cache) FlushAll(cb func(Line)) {
 	c.Stats.Flushes++
-	for _, i := range c.touched() {
-		fr := &c.lines[i]
-		if fr.State == Dirty && cb != nil {
-			cb(*fr)
+	for wi, w := range c.occ {
+		for ; w != 0; w &= w - 1 {
+			i := wi<<6 | bits.TrailingZeros64(w)
+			if c.frames[i].State == Dirty && cb != nil {
+				cb(c.line(i))
+			}
+			c.frames[i] = Frame{}
 		}
-		*fr = Line{}
+		c.occ[wi] = 0
 	}
-	c.used = c.used[:0]
 }
 
 // ClearBits applies the hardware reset line to the access bits of every
@@ -383,27 +417,28 @@ func (c *Cache) FlushAll(cb func(Line)) {
 // of lines holding privatized data, or a general reset with keep == nil).
 // mutate receives each word and returns its cleared value.
 func (c *Cache) ClearBits(keep func(line mem.Addr) bool, mutate func(abits.Word) abits.Word) {
-	for _, i := range c.touched() {
-		fr := &c.lines[i]
-		if fr.State == Invalid || fr.Bits == nil {
-			continue
-		}
-		if keep != nil && !keep(fr.Tag) {
-			continue
-		}
-		for j := range fr.Bits {
-			fr.Bits[j] = mutate(fr.Bits[j])
+	for wi, w := range c.occ {
+		for ; w != 0; w &= w - 1 {
+			i := wi<<6 | bits.TrailingZeros64(w)
+			fr := &c.frames[i]
+			if !fr.bits || keep != nil && !keep(fr.Tag) {
+				continue
+			}
+			win := c.window(i)
+			for j := range win {
+				win[j] = mutate(win[j])
+			}
 		}
 	}
 }
 
-// ForEach calls fn for every valid (non-Invalid) frame, in frame order.
-// The Line is passed by value; fn must not retain its Bits slice. Used by
-// invariant checkers to audit cache/directory agreement.
+// ForEach calls fn for every valid (non-Invalid) frame, in ascending set
+// order. fn must not retain the Line's Bits slice. Used by invariant
+// checkers to audit cache/directory agreement.
 func (c *Cache) ForEach(fn func(Line)) {
-	for _, i := range c.touched() {
-		if c.lines[i].State != Invalid {
-			fn(c.lines[i])
+	for wi, w := range c.occ {
+		for ; w != 0; w &= w - 1 {
+			fn(c.line(wi<<6 | bits.TrailingZeros64(w)))
 		}
 	}
 }

@@ -1,8 +1,10 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"specrt/internal/abits"
 	"specrt/internal/mem"
@@ -80,12 +82,12 @@ func TestBitsTravelWithInstall(t *testing.T) {
 	if fr == nil {
 		t.Fatal("line not resident")
 	}
-	if got := fr.Bits[3]; got.First() != abits.FirstOwn || !got.NoShr() {
+	if got := c.Bits(fr)[3]; got.First() != abits.FirstOwn || !got.NoShr() {
 		t.Fatalf("bits lost: %v", got)
 	}
 	// Install copies: mutating the source must not alias.
 	bits[3] = 0
-	if fr.Bits[3] == 0 {
+	if c.Bits(fr)[3] == 0 {
 		t.Fatal("Install aliased caller's bit slice")
 	}
 }
@@ -109,7 +111,7 @@ func TestEnsureBits(t *testing.T) {
 		t.Fatalf("EnsureBits len = %d", len(b))
 	}
 	b[0] = b[0].WithROnly(true)
-	if !c.Lookup(0x1000).Bits[0].ROnly() {
+	if !c.Bits(c.Lookup(0x1000))[0].ROnly() {
 		t.Fatal("EnsureBits did not attach to the line")
 	}
 }
@@ -172,18 +174,18 @@ func TestClearBitsSelective(t *testing.T) {
 	// Clear iteration bits only for lines above 0x40.
 	c.ClearBits(func(line mem.Addr) bool { return line >= 0x40 },
 		abits.Word.ClearIteration)
-	if w := c.Lookup(0x0000).Bits[0]; !w.Read1st() {
+	if w := c.Bits(c.Lookup(0x0000))[0]; !w.Read1st() {
 		t.Fatal("line outside predicate was cleared")
 	}
-	if w := c.Lookup(0x0040).Bits[0]; w.Read1st() || w.Write() {
+	if w := c.Bits(c.Lookup(0x0040))[0]; w.Read1st() || w.Write() {
 		t.Fatal("line inside predicate was not cleared")
 	}
-	if w := c.Lookup(0x0040).Bits[0]; !w.NoShr() {
+	if w := c.Bits(c.Lookup(0x0040))[0]; !w.NoShr() {
 		t.Fatal("ClearIteration cleared non-iteration bits")
 	}
 	// nil keep clears everything.
 	c.ClearBits(nil, func(abits.Word) abits.Word { return 0 })
-	if w := c.Lookup(0x0000).Bits[5]; w != 0 {
+	if w := c.Bits(c.Lookup(0x0000))[5]; w != 0 {
 		t.Fatal("general reset missed a line")
 	}
 }
@@ -242,5 +244,107 @@ func TestVictimBitsNotAliased(t *testing.T) {
 	}
 	if victim.Bits[4].ROnly() {
 		t.Fatal("victim bits alias the new line's bits")
+	}
+}
+
+// Frames are stored by value in a flat array: 16 bytes each, with no
+// pointer the garbage collector would have to scan.
+func TestFrameIsPointerFree16Bytes(t *testing.T) {
+	if sz := unsafe.Sizeof(Frame{}); sz != 16 {
+		t.Fatalf("Frame is %d bytes, want 16", sz)
+	}
+	ft := reflect.TypeOf(Frame{})
+	for i := 0; i < ft.NumField(); i++ {
+		f := ft.Field(i)
+		switch f.Type.Kind() {
+		case reflect.Bool, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		default:
+			t.Errorf("Frame.%s has kind %v, want a pointer-free scalar", f.Name, f.Type.Kind())
+		}
+	}
+}
+
+// checkWalkOrder fills every other set highest-first (so install order is
+// the reverse of set order, and tags are not monotone in set), then
+// invalidates one set and reinstalls it: the Invalid->valid transition
+// happens twice for that set. A second set is invalidated and left empty.
+// Every whole-cache walk must still visit each valid frame exactly once,
+// in ascending set order.
+func checkWalkOrder(t *testing.T, cfg Config) {
+	t.Helper()
+	c := New(cfg)
+	defer c.Release()
+	n := c.Lines()
+	lb := mem.Addr(cfg.LineBytes)
+	bits := make([]abits.Word, cfg.LineBytes/abits.WordBytes)
+	tag := func(s int) mem.Addr { return mem.Addr(s+n*(s%3)) * lb } // set s, one of three cache-sized pages
+	resident := 0
+	for s := n - 1; s >= 0; s -= 2 {
+		c.Install(tag(s), Dirty, bits)
+		resident++
+	}
+	if _, ok := c.Invalidate(tag(n - 1)); !ok {
+		t.Fatal("set n-1 not resident")
+	}
+	c.Install(tag(n-1), Dirty, bits)
+	if _, ok := c.Invalidate(tag(n - 3)); !ok {
+		t.Fatal("set n-3 not resident")
+	}
+	resident--
+
+	ascending := func(walk string, tags []mem.Addr) {
+		t.Helper()
+		if len(tags) != resident {
+			t.Fatalf("%s visited %d frames, want %d", walk, len(tags), resident)
+		}
+		for i := 1; i < len(tags); i++ {
+			if c.set(tags[i-1]) >= c.set(tags[i]) {
+				t.Fatalf("%s visited set %d before set %d", walk, c.set(tags[i-1]), c.set(tags[i]))
+			}
+		}
+	}
+	var got []mem.Addr
+	c.ClearBits(func(line mem.Addr) bool { got = append(got, line); return true }, abits.Word.ClearIteration)
+	ascending("ClearBits", got)
+	got = got[:0]
+	c.ForEach(func(l Line) { got = append(got, l.Tag) })
+	ascending("ForEach", got)
+	got = got[:0]
+	c.FlushAll(func(l Line) { got = append(got, l.Tag) })
+	ascending("FlushAll", got)
+	c.ForEach(func(l Line) { t.Fatalf("frame %#x valid after FlushAll", l.Tag) })
+}
+
+func TestWalkOrderPow2(t *testing.T) {
+	checkWalkOrder(t, Config{SizeBytes: 256 * 64, LineBytes: 64}) // 256 sets, 4 bitmap words
+}
+
+func TestWalkOrderNonPow2(t *testing.T) {
+	checkWalkOrder(t, Config{SizeBytes: 100 * 64, LineBytes: 64}) // 100 sets, partial last word
+	checkWalkOrder(t, Config{SizeBytes: 7 * 64, LineBytes: 64})
+}
+
+// Release zeroes exactly the valid frames, so a pooled frame array comes
+// back all-Invalid with a clear bitmap.
+func TestReleaseLeavesPooledFramesZero(t *testing.T) {
+	cfg := Config{SizeBytes: 100 * 64, LineBytes: 64}
+	c := New(cfg)
+	for i := 0; i < 100; i += 3 {
+		c.Install(mem.Addr(i*64), Dirty, nil)
+	}
+	c.Invalidate(0)
+	c.Release()
+	c = New(cfg)
+	defer c.Release()
+	for i, fr := range c.frames {
+		if fr != (Frame{}) {
+			t.Fatalf("frame %d not zero: %+v", i, fr)
+		}
+	}
+	for i, w := range c.occ {
+		if w != 0 {
+			t.Fatalf("occupancy word %d = %#x", i, w)
+		}
 	}
 }

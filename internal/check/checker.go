@@ -356,16 +356,22 @@ func (k *Checker) checkNPQuiesced(mi *mirror) {
 	lb := k.m.LineBytes()
 	for _, pr := range k.m.Procs {
 		for line := k.m.LineAddr(arr.Region.Base); line < arr.Region.End(); line += mem.Addr(lb) {
-			fr := pr.L1.Lookup(line)
+			c := pr.L1
+			fr := c.Lookup(line)
 			if fr == nil {
-				fr = pr.L2.Lookup(line) // the L1 copy, when present, is authoritative
+				c = pr.L2 // the L1 copy, when present, is authoritative
+				fr = c.Lookup(line)
 			}
-			if fr == nil || fr.State != cache.Clean || fr.Bits == nil {
+			if fr == nil || fr.State != cache.Clean {
+				continue
+			}
+			bits := c.Bits(fr)
+			if bits == nil {
 				continue
 			}
 			lo, hi := elemsInLine(arr.Region, line, lb)
 			for e := lo; e < hi; e++ {
-				w := fr.Bits[wordIndexOf(arr.Region, e, lb)]
+				w := bits[wordIndexOf(arr.Region, e, lb)]
 				first, noShr, rOnly := arr.NPState(e)
 				switch w.First() {
 				case abits.FirstOwn:

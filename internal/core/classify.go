@@ -78,12 +78,14 @@ func (c *Controller) TryWrite(p int, a mem.Addr) (sim.Time, bool) {
 // index wi (zero when the line has no bit window yet, matching what
 // EnsureBits would hand the perform step). An L2-only hit qualifies only
 // when the perform step's L1 promotion is purely local.
-func (c *Controller) lookupBits(p int, a mem.Addr, wi int) (*cache.Line, sim.Time, abits.Word) {
+func (c *Controller) lookupBits(p int, a mem.Addr, wi int) (*cache.Frame, sim.Time, abits.Word) {
 	pr := c.M.Procs[p]
-	fr := pr.L1.Lookup(a)
+	cc := pr.L1
+	fr := cc.Lookup(a)
 	lat := c.M.Cfg.Lat.L1Hit
 	if fr == nil {
-		if fr = pr.L2.Lookup(a); fr != nil && !c.M.PromoteIsLocal(p, a) {
+		cc = pr.L2
+		if fr = cc.Lookup(a); fr != nil && !c.M.PromoteIsLocal(p, a) {
 			fr = nil
 		}
 		lat = c.M.Cfg.Lat.L2Hit
@@ -92,8 +94,8 @@ func (c *Controller) lookupBits(p int, a mem.Addr, wi int) (*cache.Line, sim.Tim
 		return nil, 0, 0
 	}
 	var w abits.Word
-	if fr.Bits != nil {
-		w = fr.Bits[wi]
+	if bits := cc.Bits(fr); bits != nil {
+		w = bits[wi]
 	}
 	return fr, lat, w
 }

@@ -235,22 +235,17 @@ func (c *Controller) sendFirstUpdateFail(arr *Array, p, e int) {
 		}
 		line := c.M.LineAddr(addr)
 		wi := wordIndexOf(arr.Region, e, c.M.LineBytes())
-		fr := c.M.Procs[p].L1.Lookup(line)
-		if fr == nil {
-			if fr2 := c.M.Procs[p].L2.Lookup(line); fr2 != nil {
-				fr = fr2
-			}
-		}
-		if fr == nil || fr.Bits == nil {
+		bits := c.M.LineBits(p, line)
+		if bits == nil {
 			return nil // line displaced; the directory is authoritative
 		}
-		w := fr.Bits[wi]
+		w := bits[wi]
 		if w.First() == abits.FirstOwn && w.NoShr() {
 			// This processor read and then wrote the element before
 			// learning it was not First.
 			return c.fail(FailTwoFirstUpdates, arr, e, p, c.curIter[p])
 		}
-		fr.Bits[wi] = w.WithFirst(abits.FirstOther).WithROnly(true)
+		bits[wi] = w.WithFirst(abits.FirstOther).WithROnly(true)
 		return nil
 	})
 }

@@ -51,7 +51,7 @@ func (m *Machine) TryFastRead(p int, a mem.Addr) (sim.Time, bool) {
 	pr.L1.Stats.Misses++
 	pr.L2.Stats.Hits++
 	m.Stats.L2Hits++
-	m.installL1(p, fr.Tag, fr.State, fr.Bits)
+	m.installL1(p, fr.Tag, fr.State, pr.L2.Bits(fr))
 	return m.Cfg.Lat.L2Hit, true
 }
 
@@ -78,6 +78,6 @@ func (m *Machine) TryFastWrite(p int, a mem.Addr) (sim.Time, bool) {
 	pr.L1.Stats.Misses++
 	pr.L2.Stats.Hits++
 	m.Stats.L2Hits++
-	m.installL1(p, fr.Tag, fr.State, fr.Bits)
+	m.installL1(p, fr.Tag, fr.State, pr.L2.Bits(fr))
 	return m.Cfg.Lat.L1Hit, true
 }

@@ -366,7 +366,7 @@ func TestClearAllBits(t *testing.T) {
 	bits[0] = bits[0].WithROnly(true)
 	m.FetchRead(0, a, func(wb *cache.Line, wbOwner int) ([]abits.Word, error) { return bits, nil })
 	m.ClearAllBits()
-	if fr := m.Procs[0].L1.Lookup(a); fr.Bits[0] != 0 {
+	if l1 := m.Procs[0].L1; l1.Bits(l1.Lookup(a))[0] != 0 {
 		t.Fatal("ClearAllBits left bits set")
 	}
 }
@@ -385,10 +385,11 @@ func TestClearBitsRange(t *testing.T) {
 	mk(arrA)
 	mk(arrB)
 	m.ClearBitsRange(0, arrB.Base, arrB.End(), abits.Word.ClearIteration)
-	if fr := m.Procs[0].L1.Lookup(arrA.ElemAddr(0)); !fr.Bits[0].Read1st() {
+	l1 := m.Procs[0].L1
+	if !l1.Bits(l1.Lookup(arrA.ElemAddr(0)))[0].Read1st() {
 		t.Fatal("range clear touched array A")
 	}
-	if fr := m.Procs[0].L1.Lookup(arrB.ElemAddr(0)); fr.Bits[0].Read1st() {
+	if l1.Bits(l1.Lookup(arrB.ElemAddr(0)))[0].Read1st() {
 		t.Fatal("range clear missed array B")
 	}
 }
@@ -402,7 +403,7 @@ func TestSyncBitsToL2(t *testing.T) {
 	bits := make([]abits.Word, 16)
 	bits[2] = bits[2].WithROnly(true)
 	m.SyncBitsToL2(0, line, bits)
-	if fr := m.Procs[0].L2.Lookup(a); fr == nil || !fr.Bits[2].ROnly() {
+	if l2 := m.Procs[0].L2; l2.Lookup(a) == nil || !l2.Bits(l2.Lookup(a))[2].ROnly() {
 		t.Fatal("SyncBitsToL2 did not update the L2 copy")
 	}
 }

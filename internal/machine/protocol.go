@@ -12,7 +12,7 @@ import (
 // returns the L1 frame and the L1 latency. On an L2 hit the line is
 // promoted into L1 (carrying its access bits) and the L1 frame and L2
 // latency are returned. On a full miss it returns (nil, 0, false).
-func (m *Machine) Probe(p int, a mem.Addr) (*cache.Line, sim.Time, bool) {
+func (m *Machine) Probe(p int, a mem.Addr) (*cache.Frame, sim.Time, bool) {
 	pr := m.Procs[p]
 	if fr := pr.L1.Probe(a); fr != nil {
 		m.Stats.L1Hits++
@@ -20,7 +20,7 @@ func (m *Machine) Probe(p int, a mem.Addr) (*cache.Line, sim.Time, bool) {
 	}
 	if fr := pr.L2.Probe(a); fr != nil {
 		m.Stats.L2Hits++
-		l1fr := m.installL1(p, fr.Tag, fr.State, fr.Bits)
+		l1fr := m.installL1(p, fr.Tag, fr.State, pr.L2.Bits(fr))
 		return l1fr, m.Cfg.Lat.L2Hit, true
 	}
 	return nil, 0, false
@@ -28,7 +28,7 @@ func (m *Machine) Probe(p int, a mem.Addr) (*cache.Line, sim.Time, bool) {
 
 // installL1 places a line in L1, merging any displaced line back into L2
 // (or straight to home if its L2 copy is gone).
-func (m *Machine) installL1(p int, line mem.Addr, st cache.State, bits []abits.Word) *cache.Line {
+func (m *Machine) installL1(p int, line mem.Addr, st cache.State, bits []abits.Word) *cache.Frame {
 	pr := m.Procs[p]
 	victim, evicted := pr.L1.Install(line, st, bits)
 	if evicted {
@@ -49,7 +49,7 @@ func (m *Machine) installL1(p int, line mem.Addr, st cache.State, bits []abits.W
 }
 
 // installBoth places a fetched line into L2 and L1.
-func (m *Machine) installBoth(p int, line mem.Addr, st cache.State, bits []abits.Word) *cache.Line {
+func (m *Machine) installBoth(p int, line mem.Addr, st cache.State, bits []abits.Word) *cache.Frame {
 	pr := m.Procs[p]
 	victim, evicted := pr.L2.Install(line, st, bits)
 	if evicted {
@@ -278,11 +278,7 @@ func (m *Machine) FetchWrite(p int, a mem.Addr, atHome HomeVisitFn) (sim.Time, e
 	// On an upgrade the requester keeps its own bits unless the home
 	// supplied fresh ones.
 	if upgrade && bits == nil {
-		if fr := m.Procs[p].L1.Lookup(line); fr != nil {
-			bits = fr.Bits
-		} else if fr := m.Procs[p].L2.Lookup(line); fr != nil {
-			bits = fr.Bits
-		}
+		bits = m.LineBits(p, line)
 	}
 	m.installBoth(p, line, cache.Dirty, bits)
 	m.notify(TxFetchWrite, p, line)
@@ -482,6 +478,21 @@ func (m *Machine) ChargeHomeTransfer(p int, a mem.Addr) sim.Time {
 	h := m.HomeOf(a)
 	lat := m.homeVisit(h, m.Eng.Now(), m.Cfg.Lat.HomeOccLine)
 	return lat + m.hopLatency(p, h, false)
+}
+
+// LineBits returns the access bits of p's freshest copy of line: the L1
+// copy's when L1 holds the line, else the L2 copy's. It is nil when p
+// holds no copy or its freshest copy carries no bits. Writes through the
+// slice update that copy in place.
+func (m *Machine) LineBits(p int, line mem.Addr) []abits.Word {
+	pr := m.Procs[p]
+	if fr := pr.L1.Lookup(line); fr != nil {
+		return pr.L1.Bits(fr)
+	}
+	if fr := pr.L2.Lookup(line); fr != nil {
+		return pr.L2.Bits(fr)
+	}
+	return nil
 }
 
 // SyncBitsToL2 writes the (mutated) access bits of a Clean L1 line through

@@ -450,6 +450,16 @@ func validate(w *Workload, cfg Config) error {
 	if cfg.L1Bytes < 0 || cfg.L2Bytes < 0 {
 		return fmt.Errorf("run: negative cache size override")
 	}
+	l1, l2 := cacheConfigs(cfg)
+	if err := l1.Validate(); err != nil {
+		return fmt.Errorf("run: L1Bytes %d: %w", cfg.L1Bytes, err)
+	}
+	if err := l2.Validate(); err != nil {
+		return fmt.Errorf("run: L2Bytes %d: %w", cfg.L2Bytes, err)
+	}
+	if l1.SizeBytes > l2.SizeBytes {
+		return fmt.Errorf("run: L1Bytes %d exceeds the %d-byte L2 (inclusion)", l1.SizeBytes, l2.SizeBytes)
+	}
 	if cfg.Mode == SW && w.SWProcWise {
 		k := schedFor(w, cfg).Kind
 		if k != sched.Static {

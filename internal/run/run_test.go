@@ -392,6 +392,37 @@ func TestValidation(t *testing.T) {
 	}
 }
 
+// Cache size overrides are checked against the machine's line size up
+// front: an odd size is a run: error naming the field, not a panic in
+// machine construction, and a valid non-power-of-two size simulates.
+func TestCacheSizeOverrideValidation(t *testing.T) {
+	w := indepLoop(core.NonPriv, 8, 8, 1)
+	cases := []struct {
+		name    string
+		l1, l2  int
+		wantErr string // "" means the run must succeed
+	}{
+		{"l1-not-line-multiple", 100, 0, "L1Bytes"},
+		{"l2-below-line", 0, 32, "L2Bytes"},
+		{"l1-exceeds-l2", 1 << 20, 0, "L1Bytes"},
+		{"l1-non-pow2", 192, 0, ""},
+		{"both-non-pow2", 192, 960, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Execute(w, Config{Mode: HW, Procs: 4, L1Bytes: tc.l1, L2Bytes: tc.l2})
+			switch {
+			case tc.wantErr == "" && err != nil:
+				t.Fatalf("valid override rejected: %v", err)
+			case tc.wantErr != "" && err == nil:
+				t.Fatal("invalid override accepted")
+			case tc.wantErr != "" && (!strings.HasPrefix(err.Error(), "run: ") || !strings.Contains(err.Error(), tc.wantErr)):
+				t.Fatalf("error %q does not start with run: and name %s", err, tc.wantErr)
+			}
+		})
+	}
+}
+
 // CheckInvariants must not change simulation results, and a healthy
 // protocol must satisfy every invariant across passing, failing and
 // epoch-windowed HW executions.

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"specrt/internal/arena"
+	"specrt/internal/cache"
 	"specrt/internal/check"
 	"specrt/internal/core"
 	"specrt/internal/cpu"
@@ -85,6 +86,20 @@ type session struct {
 	loopBulk []cpu.BulkSource
 }
 
+// cacheConfigs returns the per-processor cache geometries cfg selects:
+// the §5.1 defaults with any L1Bytes/L2Bytes override applied.
+func cacheConfigs(cfg Config) (l1, l2 cache.Config) {
+	d := machine.DefaultConfig(1)
+	l1, l2 = d.L1, d.L2
+	if cfg.L1Bytes > 0 {
+		l1.SizeBytes = cfg.L1Bytes
+	}
+	if cfg.L2Bytes > 0 {
+		l2.SizeBytes = cfg.L2Bytes
+	}
+	return l1, l2
+}
+
 func newSession(w *Workload, cfg Config) *session {
 	procs := cfg.Procs
 	if cfg.Mode == Serial {
@@ -96,12 +111,7 @@ func newSession(w *Workload, cfg Config) *session {
 	mcfg.Net.Kind = cfg.Topology
 	mcfg.Net.MeshW, mcfg.Net.MeshH = cfg.MeshW, cfg.MeshH
 	mcfg.DirMode = cfg.DirMode
-	if cfg.L1Bytes > 0 {
-		mcfg.L1.SizeBytes = cfg.L1Bytes
-	}
-	if cfg.L2Bytes > 0 {
-		mcfg.L2.SizeBytes = cfg.L2Bytes
-	}
+	mcfg.L1, mcfg.L2 = cacheConfigs(cfg)
 	if cfg.HomeOccMultiplier > 1 {
 		mcfg.Lat.HomeOccLine *= cfg.HomeOccMultiplier
 		mcfg.Lat.HomeOccMsg *= cfg.HomeOccMultiplier
