@@ -218,9 +218,8 @@ func BenchmarkPlainReadMissRemote(b *testing.B) {
 // then processor 0 writes it and 1023 invalidations go through
 // takeProcLine. Caches are the wide cells' 8 KB / 64 KB; contention is
 // off so the op measures directory and cache work, not home queueing.
-// Each round's spill takes a fresh slab from the directory's bump arena,
-// which only the between-executions flush reclaims, so the op shows the
-// arena's amortized growth as about one allocation.
+// The write drops the spilled set, which frees its window for the next
+// round's spill, so the op allocates nothing in steady state.
 func BenchmarkDirTxn1024Spill(b *testing.B) {
 	const procs = 1024
 	cfg := machine.DefaultConfig(procs)
@@ -236,7 +235,7 @@ func BenchmarkDirTxn1024Spill(b *testing.B) {
 		}
 		m.Write(0, a)
 	}
-	round() // first spill grows the slab store outside the timed loop
+	round() // first spill grows the window store outside the timed loop
 	before := m.Stats.Invalidations
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

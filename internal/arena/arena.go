@@ -11,7 +11,10 @@
 // the epoch. No reallocation, no O(n) clear on the hot path.
 package arena
 
-import "math/bits"
+import (
+	"math/bits"
+	"sync"
+)
 
 // LineIndex translates a line-aligned address into a dense line index
 // for the given power-of-two line size. It is the addr→index map used
@@ -185,62 +188,107 @@ func (b *Bits) Reset() {
 	}
 }
 
-// Slabs is a bump allocator of fixed-width uint64 slabs over one growing
-// buffer, with an O(1) Reset that reclaims every slab at once. Metadata
-// that outgrows a single machine word (multi-word sharer sets on wide
-// machines) allocates a slab per set and keeps its id; ids are dense,
-// stable across buffer growth, and dead after Reset.
-type Slabs struct {
+// Windows is an allocator of fixed-width windows of T: per-line metadata
+// that only some lines carry (a cache line's access bits, a wide
+// machine's spilled sharer set) takes a window when it first needs one
+// and hands it back when it drops it, instead of every line owning a
+// slot up front. Storage is paged: page k holds 1<<k windows, so a
+// window never moves once handed out (slices into it stay valid across
+// later Allocs) and a holder of a few windows keeps a few windows of
+// storage. Ids start at 1, so 0 can mean "no window" to callers. A
+// Windows must not be copied: its page table starts in its own small
+// array, so a holder of up to three windows allocates only their pages.
+type Windows[T any] struct {
 	width int
-	buf   []uint64
-	next  int // slabs handed out since the last Reset
+	pages [][]T   // page k holds ids [1<<k, 2<<k)
+	small [2][]T  // pages' backing array until a third page is needed
+	next  int32   // ids [1, next] have been handed out since the last Reset
+	free  []int32 // ids returned by Free since the last Reset, reused LIFO
 }
 
-// NewSlabs returns an allocator of zeroed slabs of width words each.
-func NewSlabs(width int) *Slabs {
+// NewWindows returns an allocator of windows of width elements each; it
+// holds no storage until the first Alloc.
+func NewWindows[T any](width int) *Windows[T] {
 	if width <= 0 {
-		panic("arena: slab width must be positive")
+		panic("arena: window width must be positive")
 	}
-	return &Slabs{width: width}
+	w := &Windows[T]{width: width}
+	w.pages = w.small[:0]
+	return w
 }
 
-// Width returns the slab width in words.
-func (s *Slabs) Width() int { return s.width }
+// Width returns the window width in elements.
+func (w *Windows[T]) Width() int { return w.width }
 
-// Live returns the number of slabs allocated since the last Reset.
-func (s *Slabs) Live() int { return s.next }
+// Live returns the number of windows handed out and not yet freed.
+func (w *Windows[T]) Live() int { return int(w.next) - len(w.free) }
 
-// Alloc returns the id of a fresh zeroed slab.
-func (s *Slabs) Alloc() int {
-	id := s.next
-	s.next++
-	need := s.next * s.width
-	if need > len(s.buf) {
-		size := len(s.buf) * 2
-		if size < 16*s.width {
-			size = 16 * s.width
-		}
-		for size < need {
-			size *= 2
-		}
-		grown := make([]uint64, size)
-		copy(grown, s.buf)
-		s.buf = grown
-	} else {
-		// Recycled region from before the last Reset: wipe just this slab.
-		clear(s.buf[id*s.width : need])
+// Cap returns the number of windows the allocated pages hold.
+func (w *Windows[T]) Cap() int { return 1<<len(w.pages) - 1 }
+
+// Alloc returns the id of a window (never 0). A recycled window keeps
+// whatever it held: callers overwrite or clear it.
+func (w *Windows[T]) Alloc() int32 {
+	if n := len(w.free); n > 0 {
+		id := w.free[n-1]
+		w.free = w.free[:n-1]
+		return id
 	}
-	return id
+	w.next++
+	if k := bits.Len32(uint32(w.next)) - 1; k == len(w.pages) {
+		w.pages = append(w.pages, make([]T, w.width<<k))
+	}
+	return w.next
 }
 
-// Slab returns slab id's words. The slice aliases the backing buffer and
-// is invalidated by the next Alloc (growth may move the buffer): re-fetch
-// it rather than retaining it across allocations.
-func (s *Slabs) Slab(id int) []uint64 {
-	lo, hi := id*s.width, (id+1)*s.width
-	return s.buf[lo:hi:hi]
+// Window returns window id's elements. The slice aliases page storage
+// that never moves, so it stays valid until the window is freed and
+// handed out again.
+func (w *Windows[T]) Window(id int32) []T {
+	k := bits.Len32(uint32(id)) - 1
+	lo := int(id-1<<k) * w.width
+	return w.pages[k][lo : lo+w.width : lo+w.width]
 }
 
-// Reset reclaims every slab in O(1) by rewinding the bump pointer; the
-// buffer (and its capacity) is retained for the next epoch.
-func (s *Slabs) Reset() { s.next = 0 }
+// Free returns window id for reuse by a later Alloc.
+func (w *Windows[T]) Free(id int32) { w.free = append(w.free, id) }
+
+// Reset frees every window in O(1); the pages are kept for reuse.
+func (w *Windows[T]) Reset() {
+	w.next = 0
+	w.free = w.free[:0]
+}
+
+// SizePool is a set of sync.Pools of *T keyed by a size (an element
+// count, a set count), for storage whose shape is fixed by that size.
+// The zero value is ready to use. A mutex-guarded plain map is used
+// rather than sync.Map so the int key is not boxed on every lookup.
+type SizePool[T any] struct {
+	mu    sync.Mutex
+	pools map[int]*sync.Pool
+}
+
+func (sp *SizePool[T]) pool(size int) *sync.Pool {
+	sp.mu.Lock()
+	p := sp.pools[size]
+	if p == nil {
+		if sp.pools == nil {
+			sp.pools = map[int]*sync.Pool{}
+		}
+		p = &sync.Pool{}
+		sp.pools[size] = p
+	}
+	sp.mu.Unlock()
+	return p
+}
+
+// Get returns a pooled value of the given size, or nil if none is free.
+func (sp *SizePool[T]) Get(size int) *T {
+	if v := sp.pool(size).Get(); v != nil {
+		return v.(*T)
+	}
+	return nil
+}
+
+// Put hands v, of the given size, back to the pool.
+func (sp *SizePool[T]) Put(size int, v *T) { sp.pool(size).Put(v) }

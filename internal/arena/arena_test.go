@@ -177,54 +177,143 @@ func TestI32MatchesReference(t *testing.T) {
 	}
 }
 
-func TestSlabsAllocAndReset(t *testing.T) {
-	s := NewSlabs(3)
-	if s.Width() != 3 {
-		t.Fatalf("Width = %d, want 3", s.Width())
+func TestWindowsAllocFreeReset(t *testing.T) {
+	w := NewWindows[uint64](3)
+	if w.Width() != 3 {
+		t.Fatalf("Width = %d, want 3", w.Width())
 	}
-	a := s.Alloc()
-	b := s.Alloc()
-	if a == b {
-		t.Fatal("Alloc returned the same id twice")
+	if w.Cap() != 0 {
+		t.Fatalf("fresh allocator holds %d windows of storage, want 0", w.Cap())
 	}
-	s.Slab(a)[0] = 0xdead
-	s.Slab(b)[2] = 0xbeef
-	if s.Slab(a)[0] != 0xdead || s.Slab(a)[2] != 0 {
-		t.Fatalf("slab %d corrupted: %v", a, s.Slab(a))
+	a := w.Alloc()
+	b := w.Alloc()
+	if a == 0 || b == 0 || a == b {
+		t.Fatalf("Alloc returned ids %d, %d: want distinct and nonzero", a, b)
 	}
-	if s.Slab(b)[2] != 0xbeef || s.Slab(b)[0] != 0 {
-		t.Fatalf("slab %d corrupted: %v", b, s.Slab(b))
+	w.Window(a)[0] = 0xdead
+	w.Window(b)[2] = 0xbeef
+	if w.Window(a)[0] != 0xdead || w.Window(a)[2] != 0 {
+		t.Fatalf("window %d corrupted: %v", a, w.Window(a))
 	}
-	if s.Live() != 2 {
-		t.Fatalf("Live = %d, want 2", s.Live())
+	if w.Window(b)[2] != 0xbeef || w.Window(b)[0] != 0 {
+		t.Fatalf("window %d corrupted: %v", b, w.Window(b))
 	}
-	s.Reset()
-	if s.Live() != 0 {
-		t.Fatalf("Live after Reset = %d, want 0", s.Live())
+	if w.Live() != 2 {
+		t.Fatalf("Live = %d, want 2", w.Live())
 	}
-	// Recycled slabs must come back zeroed.
-	c := s.Alloc()
-	for i, w := range s.Slab(c) {
-		if w != 0 {
-			t.Fatalf("recycled slab word %d = %#x, want 0", i, w)
-		}
+	// A freed window is the next one handed out.
+	w.Free(a)
+	if w.Live() != 1 {
+		t.Fatalf("Live after Free = %d, want 1", w.Live())
+	}
+	if c := w.Alloc(); c != a {
+		t.Fatalf("Alloc after Free(%d) = %d", a, c)
+	}
+	held := w.Cap()
+	w.Reset()
+	if w.Live() != 0 {
+		t.Fatalf("Live after Reset = %d, want 0", w.Live())
+	}
+	if w.Alloc() != 1 || w.Cap() != held {
+		t.Fatalf("Reset did not rewind the ids or dropped pages (cap %d, was %d)", w.Cap(), held)
 	}
 }
 
-func TestSlabsGrowthKeepsEarlierSlabs(t *testing.T) {
-	s := NewSlabs(2)
-	ids := make([]int, 0, 100)
-	for i := 0; i < 100; i++ {
-		id := s.Alloc()
-		s.Slab(id)[0] = uint64(i + 1)
-		s.Slab(id)[1] = uint64(i + 1000)
+// Windows never move: a slice taken before later Allocs still aliases
+// the window, and every window keeps its own contents.
+func TestWindowsGrowthKeepsEarlierWindows(t *testing.T) {
+	w := NewWindows[uint64](2)
+	first := w.Window(w.Alloc())
+	first[1] = 42
+	ids := []int32{1}
+	for i := 1; i < 100; i++ {
+		id := w.Alloc()
+		w.Window(id)[0] = uint64(i + 1)
+		w.Window(id)[1] = uint64(i + 1000)
 		ids = append(ids, id)
 	}
-	for i, id := range ids {
-		w := s.Slab(id)
-		if w[0] != uint64(i+1) || w[1] != uint64(i+1000) {
-			t.Fatalf("slab %d lost its words across growth: %v", id, w)
+	first[0] = 1
+	if w.Window(1)[0] != 1 || w.Window(1)[1] != 42 {
+		t.Fatalf("window 1 moved: %v", w.Window(1))
+	}
+	for i, id := range ids[1:] {
+		got := w.Window(id)
+		if got[0] != uint64(i+2) || got[1] != uint64(i+1001) {
+			t.Fatalf("window %d lost its words: %v", id, got)
 		}
+	}
+	if w.Cap() < 100 || w.Cap() > 2*100 {
+		t.Fatalf("Cap = %d for 100 windows", w.Cap())
+	}
+}
+
+// Property: windows handed out at the same time never overlap, across
+// random Alloc/Free/Reset sequences, and steady-state reuse allocates
+// nothing.
+func TestWindowsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	w := NewWindows[uint32](4)
+	live := map[int32]uint32{}
+	var ids []int32 // live ids, in a seed-determined order
+	for step := 0; step < 5000; step++ {
+		switch r := rng.Intn(20); {
+		case r == 0:
+			w.Reset()
+			clear(live)
+			ids = ids[:0]
+		case r < 8 && len(ids) > 0:
+			k := rng.Intn(len(ids))
+			w.Free(ids[k])
+			delete(live, ids[k])
+			ids[k] = ids[len(ids)-1]
+			ids = ids[:len(ids)-1]
+		default:
+			id := w.Alloc()
+			if _, dup := live[id]; dup || id == 0 {
+				t.Fatalf("step %d: Alloc returned live or zero id %d", step, id)
+			}
+			ids = append(ids, id)
+			v := uint32(step)
+			for i := range w.Window(id) {
+				w.Window(id)[i] = v
+			}
+			live[id] = v
+		}
+		if w.Live() != len(live) {
+			t.Fatalf("step %d: Live = %d, want %d", step, w.Live(), len(live))
+		}
+		for id, v := range live {
+			for _, x := range w.Window(id) {
+				if x != v {
+					t.Fatalf("step %d: window %d overwritten: %v, want %d", step, id, w.Window(id), v)
+				}
+			}
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		a, b := w.Alloc(), w.Alloc()
+		w.Free(a)
+		w.Free(b)
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state Alloc/Free allocated %v times per run", allocs)
+	}
+}
+
+func TestSizePool(t *testing.T) {
+	var sp SizePool[[]int]
+	if sp.Get(4) != nil {
+		t.Fatal("empty pool returned a value")
+	}
+	v := make([]int, 4)
+	sp.Put(4, &v)
+	if got := sp.Get(8); got != nil {
+		t.Fatalf("Get(8) returned a size-4 value: %v", *got)
+	}
+	// sync.Pool may drop entries at any time; when it keeps one, it must
+	// come back under its own size only.
+	if got := sp.Get(4); got != nil && len(*got) != 4 {
+		t.Fatalf("Get(4) returned %d elements", len(*got))
 	}
 }
 

@@ -11,9 +11,9 @@ package cache
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"specrt/internal/abits"
+	"specrt/internal/arena"
 	"specrt/internal/mem"
 )
 
@@ -59,15 +59,15 @@ func (c Config) Validate() error {
 }
 
 // Frame is one stored cache frame. Tag is the line-aligned base address
-// of the resident line (meaningful only when State != Invalid). The
-// frame's access bits live in its window of the cache's slab, found from
-// the set index; bits records whether the window currently holds them
-// (read them with Cache.Bits). Frame holds no pointers, so a frame array
-// is 16 bytes per set and never scanned by the garbage collector.
+// of the resident line (meaningful only when State != Invalid). win is
+// the id of the frame's access-bit window in the cache's allocator, or 0
+// while the line carries no bits (read them with Cache.Bits). Frame
+// holds no pointers, so a frame array is 16 bytes per set and never
+// scanned by the garbage collector.
 type Frame struct {
 	Tag   mem.Addr
 	State State
-	bits  bool
+	win   int32
 }
 
 // Line is a frame's contents handed out by value: an evicted victim, the
@@ -90,18 +90,21 @@ type Stats struct {
 	Flushes    uint64
 }
 
-// Cache is a direct-mapped cache. Access-bit words for all frames live
-// in one preallocated slab (one window of wpl words per frame, plus a
-// trailing scratch window that carries an evicted victim's bits while
-// its frame is being overwritten); slabs are recycled across machines
-// via a pool, so steady-state simulation does no per-line allocation.
+// Cache is a direct-mapped cache. Only lines of arrays under test carry
+// access bits (§4.1), so a frame takes a window of wpl words from the
+// cache's allocator when its line first needs bits and returns it when
+// the line goes or is reinstalled without bits; a cache that never sees
+// such a line holds no bit storage. A separate scratch window carries an
+// evicted victim's bits while its frame is being overwritten. Frames,
+// windows and scratch are recycled across machines via a pool, so
+// steady-state simulation does no per-line allocation.
 type Cache struct {
 	cfg     Config
 	sets    int
 	frames  []Frame
 	wpl     int // access-bit words per line
-	slab    []abits.Word
-	scratch []abits.Word // last window of the slab
+	wins    *arena.Windows[abits.Word]
+	scratch []abits.Word
 	Stats   Stats
 
 	// pow2/lineShift/setMask strength-reduce the set-index computation
@@ -119,62 +122,43 @@ type Cache struct {
 	// identical to a full frame scan without touching every frame of a
 	// mostly empty cache between executions.
 	occ    []uint64
-	pooled *frameArrays // the pool entry frames and occ came from
+	pooled *frameArrays // the pool entry frames, occ and windows came from
 }
 
 // frameArrays is one pooled frame array together with its occupancy
-// bitmap, so building a cache takes both from a single pool entry.
+// bitmap and its access-bit windows, so building a cache takes all of
+// them from a single pool entry and a cache's window pages travel with
+// its frames.
 type frameArrays struct {
-	frames []Frame
-	occ    []uint64
+	frames  []Frame
+	occ     []uint64
+	wins    *arena.Windows[abits.Word]
+	scratch []abits.Word
 }
 
-// slabPool recycles access-bit slabs between cache instances, keyed by
-// slab length (pointer-boxed so Put does not allocate). framePool does
-// the same for frame arrays, keyed by set count. A mutex-guarded plain
-// map is used rather than sync.Map so the int key is not boxed on every
-// lookup.
-var (
-	poolMu    sync.Mutex
-	slabPool  = map[int]*sync.Pool{}
-	framePool = map[int]*sync.Pool{}
-)
+// framePool recycles frame arrays between cache instances, keyed by set
+// count.
+var framePool arena.SizePool[frameArrays]
 
-func poolFor(m map[int]*sync.Pool, size int) *sync.Pool {
-	poolMu.Lock()
-	p := m[size]
-	if p == nil {
-		p = &sync.Pool{}
-		m[size] = p
-	}
-	poolMu.Unlock()
-	return p
-}
-
-func getSlab(size int) []abits.Word {
-	if v := poolFor(slabPool, size).Get(); v != nil {
-		return *(v.(*[]abits.Word))
-	}
-	return make([]abits.Word, size)
-}
-
-func putSlab(s []abits.Word) {
-	poolFor(slabPool, len(s)).Put(&s)
-}
-
-// getFrames returns an all-Invalid frame array and an all-clear bitmap.
+// getFrames returns an all-Invalid frame array, an all-clear bitmap and
+// an allocator with no window handed out, for windows of wpl words.
 // Pooled entries are already zeroed: Release clears exactly the frames
 // whose occupancy bits are set, which is every valid frame (frames
 // invalidated individually or flushed are zeroed at that point), so a
 // full clear — 128 KB per 512 KB L2 per execution — is not needed here.
-func getFrames(sets int) *frameArrays {
-	if v := poolFor(framePool, sets).Get(); v != nil {
-		return v.(*frameArrays)
+func getFrames(sets, wpl int) *frameArrays {
+	fa := framePool.Get(sets)
+	if fa == nil {
+		fa = &frameArrays{
+			frames: make([]Frame, sets),
+			occ:    make([]uint64, (sets+63)/64),
+		}
 	}
-	return &frameArrays{
-		frames: make([]Frame, sets),
-		occ:    make([]uint64, (sets+63)/64),
+	if fa.wins == nil || fa.wins.Width() != wpl {
+		fa.wins = arena.NewWindows[abits.Word](wpl)
+		fa.scratch = make([]abits.Word, wpl)
 	}
+	return fa
 }
 
 // New builds a cache; it panics on invalid configuration (a programming
@@ -185,15 +169,14 @@ func New(cfg Config) *Cache {
 	}
 	sets := cfg.SizeBytes / cfg.LineBytes
 	wpl := abits.WordsPerLine(cfg.LineBytes)
-	slab := getSlab((sets + 1) * wpl)
-	fa := getFrames(sets)
+	fa := getFrames(sets, wpl)
 	c := &Cache{
 		cfg:     cfg,
 		sets:    sets,
 		frames:  fa.frames,
 		wpl:     wpl,
-		slab:    slab,
-		scratch: slab[sets*wpl : (sets+1)*wpl : (sets+1)*wpl],
+		wins:    fa.wins,
+		scratch: fa.scratch,
 		occ:     fa.occ,
 		pooled:  fa,
 	}
@@ -205,17 +188,11 @@ func New(cfg Config) *Cache {
 	return c
 }
 
-// window returns frame i's slice of the slab, capped so appends cannot
-// spill into the neighbouring frame's words.
-func (c *Cache) window(i int) []abits.Word {
-	return c.slab[i*c.wpl : (i+1)*c.wpl : (i+1)*c.wpl]
-}
-
-// Release returns the cache's slab and frame array to their pools. The
+// Release returns the cache's frame array and windows to the pool. The
 // cache must not be used afterwards; call it once the owning machine is
 // done simulating.
 func (c *Cache) Release() {
-	if c.slab == nil {
+	if c.pooled == nil {
 		return
 	}
 	// Restore the pooled-entry invariant (see getFrames): zero every
@@ -226,12 +203,16 @@ func (c *Cache) Release() {
 		}
 		c.occ[wi] = 0
 	}
-	poolFor(framePool, c.sets).Put(c.pooled)
+	c.wins.Reset()
+	framePool.Put(c.sets, c.pooled)
 	c.frames, c.occ, c.pooled = nil, nil, nil
-	putSlab(c.slab)
-	c.slab = nil
-	c.scratch = nil
+	c.wins, c.scratch = nil, nil
 }
+
+// BitBytes returns the bytes of access-bit storage the cache holds: its
+// allocated window pages plus the scratch window.
+// An abits.Word is one byte.
+func (c *Cache) BitBytes() int { return (c.wins.Cap() + 1) * c.wpl }
 
 // Config returns the cache geometry.
 func (c *Cache) Config() Config { return c.cfg }
@@ -290,18 +271,20 @@ func (c *Cache) Probe(a mem.Addr) *Frame {
 
 // Bits returns the access-bit window of fr, a valid frame of this cache,
 // or nil when the line carries no bits yet. The slice aliases the frame's
-// slab window: writes through it update the line's bits in place.
+// window: writes through it update the line's bits in place.
 func (c *Cache) Bits(fr *Frame) []abits.Word {
-	if !fr.bits {
+	if fr.win == 0 {
 		return nil
 	}
-	return c.window(c.set(fr.Tag))
+	return c.wins.Window(fr.win)
 }
 
 // Install places the line containing a into its frame with the given
 // valid state and access bits (bits may be nil for a plain line; a zeroed
-// bit array is claimed lazily when first needed). If a different line
-// occupied the frame it is returned as the victim.
+// bit array is claimed lazily when first needed). The frame keeps its
+// window when the new contents carry bits and returns it when they do
+// not. If a different line occupied the frame it is returned as the
+// victim.
 func (c *Cache) Install(a mem.Addr, st State, bits []abits.Word) (victim Line, evicted bool) {
 	if bits != nil && len(bits) != c.wpl {
 		panic(fmt.Sprintf("cache: bits len %d, want %d", len(bits), c.wpl))
@@ -314,13 +297,13 @@ func (c *Cache) Install(a mem.Addr, st State, bits []abits.Word) (victim Line, e
 		c.occ[set>>6] |= 1 << (set & 63)
 	case fr.Tag != line:
 		victim, evicted = Line{Tag: fr.Tag, State: fr.State}, true
-		if fr.bits {
-			// The victim's bits sit in this frame's slab window, which
-			// the new line is about to overwrite; move them to the
-			// scratch window. The caller consumes the victim (writeback)
-			// before the next Install into this cache, so one scratch
-			// suffices.
-			copy(c.scratch, c.window(set))
+		if fr.win != 0 {
+			// The victim's bits sit in this frame's window, which the
+			// new line is about to overwrite or give back; move them to
+			// the scratch window. The caller consumes the victim
+			// (writeback) before the next Install into this cache, so
+			// one scratch suffices.
+			copy(c.scratch, c.wins.Window(fr.win))
 			victim.Bits = c.scratch
 		}
 		c.Stats.Evictions++
@@ -328,46 +311,59 @@ func (c *Cache) Install(a mem.Addr, st State, bits []abits.Word) (victim Line, e
 			c.Stats.Writebacks++
 		}
 	}
-	*fr = Frame{Tag: line, State: st, bits: bits != nil}
-	if bits != nil {
-		copy(c.window(set), bits)
+	win := fr.win
+	switch {
+	case bits != nil:
+		if win == 0 {
+			win = c.wins.Alloc()
+		}
+		copy(c.wins.Window(win), bits)
+	case win != 0:
+		c.wins.Free(win)
+		win = 0
 	}
+	*fr = Frame{Tag: line, State: st, win: win}
 	return victim, evicted
 }
 
-// EnsureBits returns the frame's access-bit window, zeroing it if the
-// line was installed without bits.
+// EnsureBits returns the frame's access-bit window, claiming a zeroed
+// one if the line was installed without bits.
 func (c *Cache) EnsureBits(fr *Frame) []abits.Word {
-	w := c.window(c.set(fr.Tag))
-	if !fr.bits {
-		clear(w)
-		fr.bits = true
+	if fr.win != 0 {
+		return c.wins.Window(fr.win)
 	}
+	fr.win = c.wins.Alloc()
+	w := c.wins.Window(fr.win)
+	clear(w)
 	return w
 }
 
 // SetBits overwrites the frame's access bits with a copy of bits,
-// claiming the frame's slab window if the line had none.
+// claiming a window if the line had none.
 func (c *Cache) SetBits(fr *Frame, bits []abits.Word) {
 	if len(bits) != c.wpl {
 		panic(fmt.Sprintf("cache: bits len %d, want %d", len(bits), c.wpl))
 	}
-	fr.bits = true
-	copy(c.window(c.set(fr.Tag)), bits)
+	if fr.win == 0 {
+		fr.win = c.wins.Alloc()
+	}
+	copy(c.wins.Window(fr.win), bits)
 }
 
 // line returns frame i's contents as a Line whose Bits alias its window.
 func (c *Cache) line(i int) Line {
 	fr := &c.frames[i]
 	l := Line{Tag: fr.Tag, State: fr.State}
-	if fr.bits {
-		l.Bits = c.window(i)
+	if fr.win != 0 {
+		l.Bits = c.wins.Window(fr.win)
 	}
 	return l
 }
 
 // Invalidate removes the line containing a if present, returning its prior
-// contents (needed for writebacks carrying access bits).
+// contents (needed for writebacks carrying access bits). The line's
+// window goes back to the allocator; the returned Bits keep their
+// values until the cache next installs or writes bits.
 func (c *Cache) Invalidate(a mem.Addr) (old Line, ok bool) {
 	line := c.LineAddr(a)
 	set := c.set(line)
@@ -376,6 +372,9 @@ func (c *Cache) Invalidate(a mem.Addr) (old Line, ok bool) {
 		return Line{}, false
 	}
 	old = c.line(set)
+	if fr.win != 0 {
+		c.wins.Free(fr.win)
+	}
 	*fr = Frame{}
 	c.occ[set>>6] &^= 1 << (set & 63)
 	return old, true
@@ -396,8 +395,9 @@ func (c *Cache) Downgrade(a mem.Addr) (old Line, ok bool) {
 }
 
 // FlushAll invalidates every line, invoking cb for each dirty line so the
-// caller can model the writeback. Used between loop executions (§5.2: "we
-// flush the caches after every execution").
+// caller can model the writeback, and returns every window at once. Used
+// between loop executions (§5.2: "we flush the caches after every
+// execution").
 func (c *Cache) FlushAll(cb func(Line)) {
 	c.Stats.Flushes++
 	for wi, w := range c.occ {
@@ -410,6 +410,7 @@ func (c *Cache) FlushAll(cb func(Line)) {
 		}
 		c.occ[wi] = 0
 	}
+	c.wins.Reset()
 }
 
 // ClearBits applies the hardware reset line to the access bits of every
@@ -421,10 +422,10 @@ func (c *Cache) ClearBits(keep func(line mem.Addr) bool, mutate func(abits.Word)
 		for ; w != 0; w &= w - 1 {
 			i := wi<<6 | bits.TrailingZeros64(w)
 			fr := &c.frames[i]
-			if !fr.bits || keep != nil && !keep(fr.Tag) {
+			if fr.win == 0 || keep != nil && !keep(fr.Tag) {
 				continue
 			}
-			win := c.window(i)
+			win := c.wins.Window(fr.win)
 			for j := range win {
 				win[j] = mutate(win[j])
 			}

@@ -348,3 +348,83 @@ func TestReleaseLeavesPooledFramesZero(t *testing.T) {
 		}
 	}
 }
+
+// A cache whose lines never carry bits holds no window storage: plain
+// installs, evictions, invalidations and flushes take no window.
+func TestPlainCacheHoldsNoWindows(t *testing.T) {
+	c := New(Config{SizeBytes: 3 * 64, LineBytes: 64}) // a set count no other test pools
+	defer c.Release()
+	for i := 0; i < 12; i++ {
+		c.Install(mem.Addr(i*64), Dirty, nil)
+	}
+	c.Invalidate(0x40)
+	c.Downgrade(0x80)
+	c.FlushAll(nil)
+	if got := c.wins.Cap(); got != 0 {
+		t.Fatalf("plain cache holds %d windows of storage, want 0", got)
+	}
+}
+
+// Windows go back to the allocator on Invalidate, on eviction by a plain
+// line and on FlushAll, so a steady install/drop cycle allocates nothing
+// and the window storage stops growing.
+func TestWindowsRecycled(t *testing.T) {
+	c := small()
+	defer c.Release()
+	bits := make([]abits.Word, 16)
+	var live [4]int
+	cycle := func() {
+		c.Install(0x0000, Dirty, bits)
+		c.Install(0x0040, Clean, nil)
+		c.EnsureBits(c.Lookup(0x0040))
+		c.Invalidate(0x0000) // frees set 0's window
+		live[0] = c.wins.Live()
+		c.Install(0x0140, Clean, nil) // evicting 0x40 with a plain line frees set 1's
+		live[1] = c.wins.Live()
+		c.Install(0x0080, Clean, nil)
+		c.SetBits(c.Lookup(0x0080), bits) // claims a window for set 2
+		c.Install(0x00c0, Clean, bits)    // and for set 3
+		live[2] = c.wins.Live()
+		c.FlushAll(func(Line) {}) // frees every window at once
+		live[3] = c.wins.Live()
+	}
+	cycle()
+	if live != [4]int{1, 0, 2, 0} {
+		t.Fatalf("live windows after invalidate, eviction, installs, flush = %v, want [1 0 2 0]", live)
+	}
+	held := c.wins.Cap()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("install/drop cycle allocated %v times per run", allocs)
+	}
+	if c.wins.Cap() != held {
+		t.Fatalf("window storage grew from %d to %d windows", held, c.wins.Cap())
+	}
+	if held > 3 {
+		t.Fatalf("cache holds %d windows for at most 2 bit-carrying lines at a time", held)
+	}
+}
+
+// Window storage never moves: a slice from Bits stays the line's window
+// while other frames of the same cache claim windows (and the allocator
+// grows new pages).
+func TestBitsWindowSurvivesOtherEnsureBits(t *testing.T) {
+	c := New(Config{SizeBytes: 256 * 64, LineBytes: 64})
+	defer c.Release()
+	c.Install(0x0000, Clean, nil)
+	w := c.EnsureBits(c.Lookup(0x0000))
+	w[1] = w[1].WithROnly(true)
+	for i := 1; i < 256; i++ {
+		c.Install(mem.Addr(i*64), Clean, nil)
+		c.EnsureBits(c.Lookup(mem.Addr(i * 64)))[0] = abits.Word(0).WithWrite(true)
+	}
+	w[2] = w[2].WithNoShr(true)
+	got := c.Bits(c.Lookup(0x0000))
+	if !got[1].ROnly() || !got[2].NoShr() || got[0] != 0 {
+		t.Fatalf("line 0's bits lost writes through its window: %v", got)
+	}
+	for i := 1; i < 256; i++ {
+		if b := c.Bits(c.Lookup(mem.Addr(i * 64))); !b[0].Write() || b[1] != 0 || b[2] != 0 {
+			t.Fatalf("line %d's bits = %v", i, b)
+		}
+	}
+}

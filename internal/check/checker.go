@@ -182,7 +182,8 @@ func (k *Checker) onTransaction(kind machine.TxKind, proc int, line mem.Addr) {
 // checkCoherence verifies the base DASH invariants for one line: a Dirty
 // directory entry has exactly its owner caching the line (dirty), a
 // Shared entry only clean copies within its sharer set, an Uncached entry
-// no copies at all.
+// no copies at all. It also checks inclusion (an L1 copy has an L2 copy),
+// which lets the machine skip L1 when L2 misses on an invalidation.
 func (k *Checker) checkCoherence(line mem.Addr) {
 	home := k.m.Dirs[k.m.HomeOf(line)]
 	e := home.Peek(line)
@@ -193,6 +194,9 @@ func (k *Checker) checkCoherence(line mem.Addr) {
 	for _, pr := range k.m.Procs {
 		l1 := pr.L1.Lookup(line)
 		l2 := pr.L2.Lookup(line)
+		if l1 != nil && l2 == nil {
+			k.fail("coh-inclusion", "line %#x in proc %d's L1 but not its L2", line, pr.ID)
+		}
 		if l1 == nil && l2 == nil {
 			if st == directory.Dirty && int(e.Owner) == pr.ID {
 				k.fail("coh-dirty-owner-holds", "line %#x dir DIRTY owner %d holds no copy", line, e.Owner)
@@ -313,7 +317,8 @@ func (k *Checker) checkPrivElem(mi *mirror, e int) {
 
 // CheckQuiesced runs the global invariants that hold only once every
 // in-flight message has been delivered (the event queue is empty) and
-// before the caches are flushed: full-space coherence, cache-tag /
+// before the caches are flushed: full-space coherence, L1 ⊆ L2 inclusion
+// over every cached line, cache-tag /
 // directory agreement for the non-privatization algorithm, and shared /
 // private stamp consistency for the privatization algorithm. It returns
 // the first violation (including any line-targeted one recorded earlier).
@@ -325,6 +330,13 @@ func (k *Checker) CheckQuiesced() error {
 		for _, d := range k.m.Dirs {
 			d.ForEach(func(line mem.Addr, _ *directory.Entry) { k.checkCoherence(line) })
 		}
+	}
+	for _, pr := range k.m.Procs {
+		pr.L1.ForEach(func(l cache.Line) {
+			if pr.L2.Lookup(l.Tag) == nil {
+				k.fail("coh-inclusion", "line %#x in proc %d's L1 but not its L2", l.Tag, pr.ID)
+			}
+		})
 	}
 	if k.c.Armed() && k.c.Failed() == nil {
 		for _, mi := range k.mirrors {

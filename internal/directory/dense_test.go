@@ -68,7 +68,7 @@ func TestSharedTablePartitioning(t *testing.T) {
 	tab := NewTable(64, 64, FullMap)
 	d0, d1 := NewShared(0, tab), NewShared(1, tab)
 	d0.AddSharer(d0.Entry(0x40), 3)
-	d0.Entry(0xc0).SetDirty(1)
+	d0.SetDirty(d0.Entry(0xc0), 1)
 	d1.AddSharer(d1.Entry(0x80), 0)
 	if d0.Len() != 2 || d1.Len() != 1 {
 		t.Fatalf("Len = %d/%d, want 2/1", d0.Len(), d1.Len())
@@ -99,7 +99,7 @@ func TestSharedTablePartitioning(t *testing.T) {
 // TestTableGrowth checks on-demand growth keeps earlier entries intact.
 func TestTableGrowth(t *testing.T) {
 	d := New(0)
-	d.Entry(0x40).SetDirty(7)
+	d.SetDirty(d.Entry(0x40), 7)
 	far := mem.Addr(1 << 20)
 	d.AddSharer(d.Entry(far), 2)
 	e := d.Peek(0x40)
@@ -143,10 +143,10 @@ func TestDenseMatchesReference(t *testing.T) {
 					ref.Reset()
 				case 1, 2:
 					p := rng.Intn(tc.procs)
-					d.Entry(line).SetDirty(p)
+					d.SetDirty(d.Entry(line), p)
 					ref.Entry(line).SetDirty(p)
 				case 3:
-					d.Entry(line).ClearToUncached()
+					d.ClearToUncached(d.Entry(line))
 					ref.Entry(line).ClearToUncached()
 				case 4:
 					de, re := d.Peek(line), ref.Peek(line)

@@ -13,7 +13,7 @@
 // the per-node directories partition the table by the entry's home tag),
 // and each Entry packs state+sharers+owner into 16 bytes at every
 // machine size. The sharer set is a single ProcSet word whose meaning —
-// inline full-map bit vector, handle to a multi-word arena slab, or
+// inline full-map bit vector, handle to a multi-word arena window, or
 // limited-pointer/coarse-vector encoding — is fixed per Table by its
 // Store (see procset.go). Entries are epoch-tagged so Reset between loop
 // executions is O(1).
@@ -111,7 +111,7 @@ func (t *Table) Release() { tablePool.Put(t) }
 func (t *Table) Store() *Store { return &t.store }
 
 // Reset invalidates every entry in O(1) by advancing the epoch and
-// reclaims all spilled sharer slabs.
+// frees all spilled sharer sets.
 func (t *Table) Reset() {
 	t.cur++
 	if t.cur == 0 { // wrapped: stale epochs could alias the new one
@@ -251,17 +251,18 @@ func (d *Directory) SharerCount(e *Entry) int { return d.t.store.Count(e.Sharers
 func (d *Directory) ForEachSharer(e *Entry, fn func(p int)) { d.t.store.ForEach(e.Sharers, fn) }
 
 // SetDirty transitions the entry for an exclusive fill by processor p.
-// The previous sharer-set word is dropped, not cleared: a spilled slab
-// handle dies here and is reclaimed by the next Table.Reset.
-func (e *Entry) SetDirty(p int) {
+// The previous sharer set is dropped; a spilled set's window is freed.
+func (d *Directory) SetDirty(e *Entry, p int) {
+	d.t.store.drop(e.Sharers)
 	e.State = Dirty
 	e.Owner = int16(p)
 	e.Sharers = 0
 }
 
 // ClearToUncached returns the entry to Uncached (after writeback with
-// invalidation, or a flush).
-func (e *Entry) ClearToUncached() {
+// invalidation, or a flush), freeing a spilled sharer set's window.
+func (d *Directory) ClearToUncached(e *Entry) {
+	d.t.store.drop(e.Sharers)
 	e.State = Uncached
 	e.Sharers = 0
 	e.Owner = 0

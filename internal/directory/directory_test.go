@@ -290,11 +290,11 @@ func TestEntryLifecycle(t *testing.T) {
 	if !d.HasSharer(e, 2) || d.HasSharer(e, 3) || d.OnlySharer(e, 2) || d.NoSharers(e) {
 		t.Fatalf("sharer queries wrong: %v", d.Store().Members(e.Sharers))
 	}
-	e.SetDirty(5)
+	d.SetDirty(e, 5)
 	if e.State != Dirty || e.Owner != 5 || !d.NoSharers(e) {
 		t.Fatalf("after SetDirty: %+v", *e)
 	}
-	e.ClearToUncached()
+	d.ClearToUncached(e)
 	if e.State != Uncached || !d.NoSharers(e) {
 		t.Fatalf("after ClearToUncached: %+v", *e)
 	}
@@ -320,7 +320,7 @@ func TestEntryIdentity(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	d := New(0)
-	d.Entry(0x40).SetDirty(1)
+	d.SetDirty(d.Entry(0x40), 1)
 	d.Reset()
 	if d.Len() != 0 {
 		t.Fatal("Reset left entries")

@@ -20,7 +20,7 @@ const (
 	// FullMap keeps one presence bit per processor, the classic DASH
 	// full bit vector: an inline 64-bit word for machines of at most 64
 	// processors (zero indirection, the original representation), and
-	// arena-backed multi-word slabs above that. The represented set is
+	// arena-backed multi-word windows above that. The represented set is
 	// always exact.
 	FullMap Mode = iota
 	// Coarse is the limited-pointer/coarse-vector directory (DASH
@@ -78,9 +78,10 @@ func (m *Mode) UnmarshalText(b []byte) error {
 //
 //   - FullMap at P <= 64: the word is the presence bitset itself
 //     (bit p set = processor p holds a copy).
-//   - FullMap at P > 64: the word holds 1 + the id of a ceil(P/64)-word
-//     slab in the store's arena; 0 is the empty set. Mutations write the
-//     slab in place, so the handle is stable for the entry's lifetime.
+//   - FullMap at P > 64: the word holds the id of a ceil(P/64)-word
+//     window in the store's allocator; 0 is the empty set. Mutations
+//     write the window in place, so the handle is stable until the set
+//     empties or is dropped, when the window goes back to the allocator.
 //   - Coarse: bit 63 clear means up to four 15-bit "processor+1"
 //     pointer slots, kept sorted ascending (0 = empty slot); bit 63 set
 //     means the low 63 bits are group-presence bits.
@@ -101,19 +102,21 @@ const (
 
 // Store interprets the ProcSet words of one Table. It is configured for
 // a (mode, processor-count) pair at table construction and owns the
-// slab arena of spilled full-map sets; Table.Reset reclaims all slabs
-// in O(1) along with the entries holding their handles.
+// windows of spilled full-map sets: a set that empties or is dropped
+// (Remove, Directory.SetDirty, Directory.ClearToUncached) frees its
+// window for the next spill, and Table.Reset frees all of them in O(1)
+// along with the entries holding their handles.
 type Store struct {
 	mode  Mode
 	procs int
-	words int // slab width of spilled full-map sets; 0 = inline
+	words int // window width of spilled full-map sets; 0 = inline
 	group int // coarse mode: processors per overflow group bit
-	slabs *arena.Slabs
+	slabs *arena.Windows[uint64]
 }
 
-// configure shapes the store for a machine, retaining a compatible slab
-// arena across table recycling (the pool hands tables between machines
-// of different sizes).
+// configure shapes the store for a machine, retaining a compatible
+// window allocator across table recycling (the pool hands tables
+// between machines of different sizes).
 func (st *Store) configure(mode Mode, procs int) {
 	if procs < 1 || procs > MaxProcs {
 		panic(fmt.Sprintf("directory: procs %d outside [1,%d]", procs, MaxProcs))
@@ -132,14 +135,14 @@ func (st *Store) configure(mode Mode, procs int) {
 	case procs > 64:
 		st.words = (procs + 63) / 64
 		if st.slabs == nil || st.slabs.Width() != st.words {
-			st.slabs = arena.NewSlabs(st.words)
+			st.slabs = arena.NewWindows[uint64](st.words)
 		}
 	default:
 		st.slabs = nil
 	}
 }
 
-// reset drops every spilled set (their handles die with the entries).
+// reset frees every spilled set (their handles die with the entries).
 func (st *Store) reset() {
 	if st.slabs != nil {
 		st.slabs.Reset()
@@ -162,10 +165,12 @@ func (st *Store) Add(s ProcSet, p int) ProcSet {
 	default:
 		if s == 0 {
 			id := st.slabs.Alloc()
-			st.slabs.Slab(id)[p>>6] = 1 << uint(p&63)
-			return ProcSet(id + 1)
+			w := st.slabs.Window(id)
+			clear(w)
+			w[p>>6] = 1 << uint(p&63)
+			return ProcSet(id)
 		}
-		st.slabs.Slab(int(s) - 1)[p>>6] |= 1 << uint(p&63)
+		st.slab(s)[p>>6] |= 1 << uint(p&63)
 		return s
 	}
 }
@@ -173,7 +178,8 @@ func (st *Store) Add(s ProcSet, p int) ProcSet {
 // Remove returns the set with processor p removed. In coarse overflow
 // form with group size > 1 the removal is a conservative no-op: the
 // group bit may cover other sharers, and keeping it preserves the
-// superset guarantee.
+// superset guarantee. A spilled set that empties frees its window and
+// becomes the zero set.
 func (st *Store) Remove(s ProcSet, p int) ProcSet {
 	switch {
 	case st.mode == Coarse:
@@ -181,12 +187,28 @@ func (st *Store) Remove(s ProcSet, p int) ProcSet {
 	case st.words == 0:
 		return s &^ (1 << uint(p))
 	default:
-		if s != 0 {
-			st.slabs.Slab(int(s) - 1)[p>>6] &^= 1 << uint(p&63)
+		if s == 0 {
+			return 0
+		}
+		w := st.slab(s)
+		if w[p>>6] &^= 1 << uint(p&63); w[p>>6] == 0 && st.Empty(s) {
+			st.drop(s)
+			return 0
 		}
 		return s
 	}
 }
+
+// drop releases the set's storage: a spilled set's window goes back to
+// the allocator. The caller replaces the word with the empty set.
+func (st *Store) drop(s ProcSet) {
+	if st.words != 0 && s != 0 {
+		st.slabs.Free(int32(s))
+	}
+}
+
+// slab returns the words of the spilled set s (s != 0).
+func (st *Store) slab(s ProcSet) []uint64 { return st.slabs.Window(int32(s)) }
 
 // Has reports whether p is in the set.
 func (st *Store) Has(s ProcSet, p int) bool {
@@ -196,7 +218,7 @@ func (st *Store) Has(s ProcSet, p int) bool {
 	case st.words == 0:
 		return s&(1<<uint(p)) != 0
 	default:
-		return s != 0 && st.slabs.Slab(int(s) - 1)[p>>6]&(1<<uint(p&63)) != 0
+		return s != 0 && st.slab(s)[p>>6]&(1<<uint(p&63)) != 0
 	}
 }
 
@@ -213,7 +235,7 @@ func (st *Store) Count(s ProcSet) int {
 			return 0
 		}
 		n := 0
-		for _, w := range st.slabs.Slab(int(s) - 1) {
+		for _, w := range st.slab(s) {
 			if w != 0 {
 				n += bits.OnesCount64(w)
 			}
@@ -233,7 +255,7 @@ func (st *Store) Only(s ProcSet, p int) bool {
 		if s == 0 {
 			return false
 		}
-		for wi, w := range st.slabs.Slab(int(s) - 1) {
+		for wi, w := range st.slab(s) {
 			if wi == p>>6 {
 				if w != 1<<uint(p&63) {
 					return false
@@ -257,7 +279,7 @@ func (st *Store) Empty(s ProcSet) bool {
 		if s == 0 {
 			return true
 		}
-		for _, w := range st.slabs.Slab(int(s) - 1) {
+		for _, w := range st.slab(s) {
 			if w != 0 {
 				return false
 			}
@@ -283,7 +305,7 @@ func (st *Store) ForEach(s ProcSet, fn func(p int)) {
 		if s == 0 {
 			return
 		}
-		for wi, w := range st.slabs.Slab(int(s) - 1) {
+		for wi, w := range st.slab(s) {
 			for w != 0 {
 				fn(wi<<6 + bits.TrailingZeros64(w))
 				w &= w - 1

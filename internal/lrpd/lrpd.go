@@ -23,7 +23,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
+
+	"specrt/internal/arena"
 )
 
 // Op is one access to the array under test, recorded in program order.
@@ -146,29 +147,13 @@ func (s *Shadows) Len() int { return s.n }
 
 // shadowsPool recycles Shadows (with their marking scratch) across
 // users, keyed by element count, so short-lived sessions don't regrow
-// the bucket and stamp arrays on every run. A mutex-guarded plain map
-// is used rather than sync.Map so the int key is not boxed per lookup.
-var (
-	shadowsPoolMu sync.Mutex
-	shadowsPool   = map[int]*sync.Pool{}
-)
-
-func shadowsPoolFor(n int) *sync.Pool {
-	shadowsPoolMu.Lock()
-	p := shadowsPool[n]
-	if p == nil {
-		p = &sync.Pool{}
-		shadowsPool[n] = p
-	}
-	shadowsPoolMu.Unlock()
-	return p
-}
+// the bucket and stamp arrays on every run.
+var shadowsPool arena.SizePool[Shadows]
 
 // GetShadows returns reset shadow arrays for n elements, reusing pooled
 // storage when available.
 func GetShadows(n int) *Shadows {
-	if v := shadowsPoolFor(n).Get(); v != nil {
-		s := v.(*Shadows)
+	if s := shadowsPool.Get(n); s != nil {
 		s.Reset()
 		return s
 	}
@@ -176,7 +161,7 @@ func GetShadows(n int) *Shadows {
 }
 
 // PutShadows hands s back to the pool; s must not be used afterwards.
-func PutShadows(s *Shadows) { shadowsPoolFor(s.n).Put(s) }
+func PutShadows(s *Shadows) { shadowsPool.Put(s.n, s) }
 
 // Reset clears the shadows for reuse, keeping the marking scratch.
 func (s *Shadows) Reset() {

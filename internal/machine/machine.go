@@ -270,6 +270,10 @@ type Machine struct {
 	// msgPool recycles message slots; gen guards stale arrival events
 	// against recycled slots.
 	msgPool []*pendingMsg
+	// wb holds the line a dirty owner writes back during a fetch, for the
+	// home visit to read; keeping it here rather than on the stack stops
+	// it escaping to the heap on every 3-hop fetch.
+	wb cache.Line
 }
 
 // qref names one (source, home) message queue in activeQ.
@@ -361,8 +365,8 @@ func New(cfg Config) (*Machine, error) {
 	return m, nil
 }
 
-// Release returns the caches' access-bit slabs and the directory table
-// to their pools. The machine must not simulate afterwards; call it
+// Release returns the caches' frames and access-bit windows and the
+// directory table to their pools. The machine must not simulate afterwards; call it
 // once its final stats have been collected.
 func (m *Machine) Release() {
 	for _, p := range m.Procs {

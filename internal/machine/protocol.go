@@ -55,12 +55,7 @@ func (m *Machine) installBoth(p int, line mem.Addr, st cache.State, bits []abits
 	if evicted {
 		// Inclusion: the L1 copy (if any) holds the freshest state.
 		if l1old, ok := pr.L1.Invalidate(victim.Tag); ok {
-			if l1old.State == cache.Dirty {
-				victim.State = cache.Dirty
-			}
-			if l1old.Bits != nil {
-				victim.Bits = l1old.Bits
-			}
+			freshest(&victim, l1old)
 		}
 		if victim.State == cache.Dirty {
 			m.writebackToHome(p, victim)
@@ -78,7 +73,7 @@ func (m *Machine) writebackToHome(owner int, victim cache.Line) {
 	m.Stats.Writebacks++
 	h := m.HomeOf(victim.Tag)
 	e := m.Dirs[h].Entry(victim.Tag)
-	e.ClearToUncached()
+	m.Dirs[h].ClearToUncached(e)
 	if m.Cfg.Contention {
 		// The dirty line crosses the network to its home; msgLatency
 		// reserves the path (and applies MsgDelay) exactly as for
@@ -120,49 +115,46 @@ func (m *Machine) msgLatency(from, to int) sim.Time {
 }
 
 // takeProcLine removes the line from p's caches and returns the freshest
-// copy (L1 bits and state win over L2 under inclusion).
+// copy (L1 bits and state win over L2 under inclusion). L1 ⊆ L2 holds by
+// construction — every L1 install follows an L2 install or hit, and
+// every L2 removal also removes the L1 copy (check's coh-inclusion) — so
+// an L2 miss means p holds no copy and L1 is not probed.
 func (m *Machine) takeProcLine(p int, line mem.Addr) (cache.Line, bool) {
 	pr := m.Procs[p]
-	l1, ok1 := pr.L1.Invalidate(line)
-	l2, ok2 := pr.L2.Invalidate(line)
-	switch {
-	case ok1 && ok2:
-		if l1.State == cache.Dirty {
-			l2.State = cache.Dirty
-		}
-		if l1.Bits != nil {
-			l2.Bits = l1.Bits
-		}
-		return l2, true
-	case ok2:
-		return l2, true
-	case ok1:
-		return l1, true
+	l2, ok := pr.L2.Invalidate(line)
+	if !ok {
+		return cache.Line{}, false
 	}
-	return cache.Line{}, false
+	if l1, ok := pr.L1.Invalidate(line); ok {
+		freshest(&l2, l1)
+	}
+	return l2, true
 }
 
 // downgradeProcLine moves p's copy of line to Clean and returns the
-// freshest contents for the writeback.
+// freshest contents for the writeback, probing L1 only on an L2 hit as
+// takeProcLine does.
 func (m *Machine) downgradeProcLine(p int, line mem.Addr) (cache.Line, bool) {
 	pr := m.Procs[p]
-	l1, ok1 := pr.L1.Downgrade(line)
-	l2, ok2 := pr.L2.Downgrade(line)
-	switch {
-	case ok1 && ok2:
-		if l1.State == cache.Dirty {
-			l2.State = cache.Dirty
-		}
-		if l1.Bits != nil {
-			l2.Bits = l1.Bits
-		}
-		return l2, true
-	case ok2:
-		return l2, true
-	case ok1:
-		return l1, true
+	l2, ok := pr.L2.Downgrade(line)
+	if !ok {
+		return cache.Line{}, false
 	}
-	return cache.Line{}, false
+	if l1, ok := pr.L1.Downgrade(line); ok {
+		freshest(&l2, l1)
+	}
+	return l2, true
+}
+
+// freshest folds p's L1 copy of a line into its L2 copy's contents: a
+// dirty L1 state and L1 bits win.
+func freshest(l2 *cache.Line, l1 cache.Line) {
+	if l1.State == cache.Dirty {
+		l2.State = cache.Dirty
+	}
+	if l1.Bits != nil {
+		l2.Bits = l1.Bits
+	}
 }
 
 // HomeVisitFn runs while a fetch transaction is being serviced at the home
@@ -192,10 +184,10 @@ func (m *Machine) FetchRead(p int, a mem.Addr, atHome HomeVisitFn) (sim.Time, er
 		m.Dirs[h].Stats.WritebackReqs++
 		owner := int(e.Owner)
 		if old, ok := m.downgradeProcLine(owner, line); ok {
-			wb = &old
+			m.wb, wb = old, &m.wb
 			wbOwner = owner
 		}
-		e.ClearToUncached()
+		m.Dirs[h].ClearToUncached(e)
 		m.Dirs[h].AddSharer(e, owner)
 		threeHop = true
 	}
@@ -254,7 +246,7 @@ func (m *Machine) FetchWrite(p int, a mem.Addr, atHome HomeVisitFn) (sim.Time, e
 			m.Stats.Writebacks++
 			m.Dirs[h].Stats.WritebackReqs++
 			if old, ok := m.takeProcLine(int(e.Owner), line); ok {
-				wb = &old
+				m.wb, wb = old, &m.wb
 				wbOwner = int(e.Owner)
 			}
 			threeHop = true
@@ -274,7 +266,7 @@ func (m *Machine) FetchWrite(p int, a mem.Addr, atHome HomeVisitFn) (sim.Time, e
 	} else {
 		m.Stats.Fetch2Hop++
 	}
-	e.SetDirty(p)
+	m.Dirs[h].SetDirty(e, p)
 	// On an upgrade the requester keeps its own bits unless the home
 	// supplied fresh ones.
 	if upgrade && bits == nil {

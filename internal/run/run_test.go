@@ -778,3 +778,30 @@ func TestThirtyTwoProcessorSmoke(t *testing.T) {
 		t.Fatalf("32-proc speedup %.2f too low", sp)
 	}
 }
+
+// TestWideBitStorageOnDemand runs one execution of a loop under test on
+// a 1024-processor mesh with the wide ablation's 8 KB / 64 KB caches.
+// Only lines of the array under test carry access bits, so the caches'
+// bit storage stays a few hundred bytes per processor instead of one
+// window per frame (1,152 frames of 16 words each here).
+func TestWideBitStorageOnDemand(t *testing.T) {
+	const procs = 1024
+	w := indepLoop(core.NonPriv, 2*procs, 2*procs, 20)
+	w.Arrays[0].ElemSize = 16
+	cfg := cfgFor(HW, procs)
+	cfg.Topology, cfg.L1Bytes, cfg.L2Bytes = interconnect.Mesh, 8<<10, 64<<10
+	s := newSession(w, cfg)
+	defer s.release()
+	defer s.m.Release()
+	s.runOne(0, &Result{Verdicts: map[string]lrpd.Verdict{}})
+	bits, frames := 0, 0
+	for _, pr := range s.m.Procs {
+		bits += pr.L1.BitBytes() + pr.L2.BitBytes()
+		frames += pr.L1.Lines() + pr.L2.Lines()
+	}
+	perFrame := frames * 16 // one 16-word window per frame, allocated up front
+	t.Logf("%d procs: access-bit storage %d B, one window per frame would be %d B", procs, bits, perFrame)
+	if bits > perFrame/100 || bits > 1<<20 {
+		t.Fatalf("access-bit storage %d B, want under 1%% of %d B and under 1 MB", bits, perFrame)
+	}
+}
