@@ -16,11 +16,6 @@ import (
 	"sync"
 )
 
-// LineIndex translates a line-aligned address into a dense line index
-// for the given power-of-two line size. It is the addr→index map used
-// by the dense directory table and any per-line slab.
-func LineIndex(addr uint64, lineShift uint) int { return int(addr >> lineShift) }
-
 // I32 is a flat int32 table with an epoch-tagged O(1) Reset. Slots not
 // written since the last Reset read as the default value.
 type I32 struct {

@@ -5,12 +5,6 @@ import (
 	"testing"
 )
 
-func TestLineIndex(t *testing.T) {
-	if LineIndex(0x1000, 6) != 0x40 {
-		t.Fatalf("LineIndex(0x1000, 6) = %d", LineIndex(0x1000, 6))
-	}
-}
-
 func TestI32Basics(t *testing.T) {
 	s := NewI32(8, -1)
 	if s.Len() != 8 {

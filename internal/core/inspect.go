@@ -25,10 +25,6 @@ const (
 	InjectFirstVsWriteFlip
 )
 
-// CurIter returns processor p's current 1-based iteration number (0 when
-// the processor has not begun an iteration in this execution).
-func (c *Controller) CurIter(p int) int { return int(c.curIter[p]) }
-
 // NPState returns the non-privatization directory state of element e:
 // the First processor (-1 = NONE) and the NoShr and ROnly flags.
 func (a *Array) NPState(e int) (first int, noShr, rOnly bool) {
@@ -45,12 +41,6 @@ func (a *Array) SharedStamps(e int) (maxR1st, minW int32) {
 // element e (PMaxR1st, PMaxW; zero means no read-first / no write yet).
 func (a *Array) PrivStamps(p, e int) (pMaxR1st, pMaxW int32) {
 	return a.pMaxR1st.Get(a.pIdx(p, e)), a.pMaxW.Get(a.pIdx(p, e))
-}
-
-// TouchedEver reports the sticky cross-epoch touched summary for
-// processor p and element e (false when epochs are not in use).
-func (a *Array) TouchedEver(p, e int) bool {
-	return a.pvTouchedEver(p, e)
 }
 
 // WroteEver reports the sticky cross-epoch write summary for processor p

@@ -121,10 +121,6 @@ func (t *Table) Reset() {
 	t.store.reset()
 }
 
-// Reserve grows the table so lines up to end (exclusive) need no further
-// reallocation. Optional: lookups grow the table on demand.
-func (t *Table) Reserve(end mem.Addr) { t.grow(int(end>>t.shift) + 1) }
-
 func (t *Table) grow(n int) {
 	if n <= len(t.entries) {
 		return

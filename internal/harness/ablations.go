@@ -227,8 +227,8 @@ func (h *Harness) ablationSections() []section {
 }
 
 // Ablations runs all of them. Every section's cells simulate as one
-// batch on the worker pool (figure cells the sections reuse are memo
-// hits); the sections then render in the fixed presentation order, so
+// batch on the worker pool (figure cells the sections reuse are kept
+// flights); the sections then render in the fixed presentation order, so
 // the output is byte-identical to a sequential run.
 func (h *Harness) Ablations(w io.Writer) {
 	secs := h.ablationSections()

@@ -53,21 +53,13 @@ func (h *Harness) config(c cell) run.Config {
 	return cfg
 }
 
-// memo is a singleflight slot: the first request for a key simulates
-// inside once; every other caller blocks until it completes and then
-// shares the same *run.Result.
-type memo struct {
-	once sync.Once
-	res  *run.Result
-}
-
-// run simulates cells on the worker pool and returns their results in
-// cell order. Only a simulation holds a pool slot, so waiting on a memo
+// run simulates cells on the runner's pool and returns their results in
+// cell order. Only a simulation holds a pool slot, so waiting on a flight
 // or on a batch never starves the pool. With a single worker the cells
 // run sequentially in the given order.
 func (h *Harness) run(cells []cell) []*run.Result {
 	res := make([]*run.Result, len(cells))
-	if h.par <= 1 || len(cells) < 2 {
+	if h.runner.Parallelism() <= 1 || len(cells) < 2 {
 		for i, c := range cells {
 			res[i] = h.simulate(c)
 		}
@@ -85,48 +77,24 @@ func (h *Harness) run(cells []cell) []*run.Result {
 	return res
 }
 
-// simulate runs one cell. Paper-loop cells resolve through ResolveJob
-// and are memoized under JobSpec.Key — the content address specrtd
-// caches under; synthetic cells run every time.
+// simulate runs one cell. Paper-loop cells run as jobs under
+// JobSpec.Key — the content address specrtd caches under — and the
+// runner keeps each one; synthetic cells run every time.
 func (h *Harness) simulate(c cell) *run.Result {
 	cfg := h.config(c)
-	if c.loop == "" {
-		return h.execute(c.build(), cfg, c.director)
-	}
-	spec := JobSpec{Workload: c.loop, Config: cfg}
-	key := spec.Key()
-	h.mu.Lock()
-	m := h.memo[key]
-	if m == nil {
-		m = &memo{}
-		h.memo[key] = m
-	}
-	h.mu.Unlock()
-	m.once.Do(func() {
-		w, cfg, err := ResolveJob(spec, h.Scale)
-		if err != nil {
-			panic("harness: " + err.Error())
-		}
-		m.res = h.execute(w, cfg, nil)
-	})
-	return m.res
-}
-
-// execute holds a pool slot for one simulation.
-func (h *Harness) execute(w *run.Workload, cfg run.Config, d policy.Director) *run.Result {
-	h.sem <- struct{}{}
-	defer func() { <-h.sem }()
 	var r *run.Result
 	var err error
-	if d != nil {
-		r, err = run.ExecuteAdaptive(w, cfg, d, nil)
+	name := c.loop
+	if name != "" {
+		r, err = h.runner.Run(JobSpec{Workload: name, Config: cfg}, nil)
 	} else {
-		r, err = run.Execute(w, cfg)
+		w := c.build()
+		name = w.Name
+		r, err = h.runner.execute(w, cfg, c.director, nil)
 	}
 	if err != nil {
-		panic("harness: " + w.Name + ": " + err.Error())
+		panic("harness: " + name + ": " + err.Error())
 	}
-	h.simulated.Add(1)
 	return r
 }
 

@@ -156,6 +156,25 @@ func TestAblationsReuseFigureCells(t *testing.T) {
 	}
 }
 
+// The whole suite's simulation count is pinned at every pool size: All
+// simulates each distinct paper-loop cell once plus every synthetic
+// cell, and Ablations after it adds only the cells no figure shares.
+// A change that re-simulates a shared key, or stops sharing one, moves
+// these numbers.
+func TestSuiteSimulationCount(t *testing.T) {
+	for _, par := range []int{1, 4} {
+		h := NewParallel(Quick, par)
+		h.All(io.Discard)
+		if n := h.CellsSimulated(); n != 46 {
+			t.Errorf("par=%d: All simulated %d cells, want 46", par, n)
+		}
+		h.Ablations(io.Discard)
+		if n := h.CellsSimulated(); n != 85 {
+			t.Errorf("par=%d: All then Ablations simulated %d cells, want 85", par, n)
+		}
+	}
+}
+
 // Result memoizes a figure cell under the content address specrtd
 // caches the same job under (a JobSpec with the request's defaults), and
 // the memoized result matches what a job Runner resolves and simulates.
@@ -165,7 +184,7 @@ func TestResultMemoKeyMatchesJobSpec(t *testing.T) {
 	runner := NewRunner(Quick, 2)
 	for _, c := range speedupCells() {
 		spec := JobSpec{Workload: c.loop, Config: run.Config{Procs: c.procs, Mode: c.mode, Contention: true}}
-		m := h.memo[spec.Key()]
+		m := h.runner.flights[spec.Key()]
 		if m == nil {
 			t.Fatalf("%s %v/%d: no memo entry under %s", c.loop, c.mode, c.procs, spec.Key())
 		}

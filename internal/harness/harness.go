@@ -10,8 +10,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"specrt/internal/directory"
 	"specrt/internal/interconnect"
@@ -74,13 +72,10 @@ type Harness struct {
 	// the flag against one without.
 	NoFastPath bool
 
-	par int           // worker-pool size
-	sem chan struct{} // bounds concurrently running simulations
-
-	mu   sync.Mutex
-	memo map[string]*memo // paper-loop cells by JobSpec.Key
-
-	simulated atomic.Int64 // simulations actually executed
+	// runner is the one pool and singleflight every cell runs through;
+	// it keeps each paper-loop cell's completed flight, which makes its
+	// flight map the harness's memo.
+	runner *Runner
 }
 
 // New creates a harness at the given scale that uses every host core.
@@ -92,32 +87,24 @@ func New(sc Scale) *Harness { return NewParallel(sc, 0) }
 // results, because each cell is an independent deterministic simulation and
 // output assembly stays in presentation order.
 func NewParallel(sc Scale, par int) *Harness {
-	par = parallelism(par)
-	return &Harness{
-		Scale: sc,
-		par:   par,
-		sem:   make(chan struct{}, par),
-		memo:  make(map[string]*memo),
-	}
+	return &Harness{Scale: sc, runner: newRunner(sc, par, true)}
 }
 
-// Parallelism reports the worker-pool size.
-func (h *Harness) Parallelism() int { return h.par }
-
-// CellsSimulated reports how many simulations the harness has actually
-// executed: each distinct paper-loop cell once (memo hits excluded) plus
-// every synthetic-loop cell run — used to verify singleflight
-// deduplication under concurrency and cell reuse across experiments.
-func (h *Harness) CellsSimulated() int64 { return h.simulated.Load() }
+// CellsSimulated reports how many simulations the harness's runner has
+// actually executed: each distinct paper-loop cell once (kept flights
+// and joined flights excluded) plus every synthetic-loop cell run — used
+// to verify deduplication under concurrency and cell reuse across
+// experiments.
+func (h *Harness) CellsSimulated() int64 { return h.runner.Simulated() }
 
 // LoopNames lists the paper's loops in presentation order.
 var LoopNames = []string{"Ocean", "P3m", "Adm", "Track"}
 
-// Result returns the (memoized) simulation of a loop under a mode and
-// processor count. Concurrent calls for the same cell dedupe to a single
-// execution (singleflight); the losers block until the winner finishes
-// and share its result. The worker-pool semaphore bounds how many cells
-// simulate at once machine-wide.
+// Result returns the simulation of a loop under a mode and processor
+// count, run as a job on the harness's runner. Concurrent calls for the
+// same cell join one flight; the runner keeps it, so later calls share
+// the same result without simulating. The runner's pool bounds how many
+// cells simulate at once.
 func (h *Harness) Result(name string, mode run.Mode, procs int) *run.Result {
 	return h.run([]cell{loopCell(name, mode, procs)})[0]
 }
@@ -372,7 +359,7 @@ func (h *Harness) PrintFig14(w io.Writer) Fig14Result { return h.fig14().printTo
 
 // All runs every experiment in paper order. The union of the figure
 // grids simulates first so the worker pool sees every independent cell
-// at once; the printers then assemble from the memo.
+// at once; the printers then assemble from the runner's kept flights.
 func (h *Harness) All(w io.Writer) {
 	h.run(append(speedupCells(), scalabilityCells()...))
 	PrintLatencies(w)

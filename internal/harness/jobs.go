@@ -6,17 +6,18 @@ import (
 	"sync/atomic"
 
 	"specrt/internal/loops"
+	"specrt/internal/policy"
 	"specrt/internal/run"
 )
 
-// The job API lifts the harness's cell runner into a form a long-running
-// service can use: arbitrary (workload, run.Config) pairs instead of the
-// experiment tables, in-flight singleflight without the harness's
-// permanent memo (a server bounds its memory with an LRU above this
-// layer), and progress fan-out so every waiter of a collapsed duplicate
-// observes the one underlying simulation advance. Both key by
-// JobSpec.Key, so a harness cell and the same job sent to specrtd share
-// one content address.
+// The job API runs arbitrary (workload, run.Config) pairs instead of the
+// experiment tables, with in-flight singleflight and progress fan-out so
+// every waiter of a collapsed duplicate observes the one underlying
+// simulation advance. The figure harness and specrtd both run through a
+// Runner and key by JobSpec.Key, so a harness cell and the same job sent
+// to specrtd share one content address. The harness's Runner keeps its
+// completed flights as its memo; specrtd's keeps none and bounds its
+// memory with an LRU above this layer.
 
 // JobSpec identifies one simulation job: a paper workload by name plus
 // the full execution config.
@@ -108,28 +109,33 @@ func (f *flight) broadcast(done, total int) {
 
 // Runner executes arbitrary job specs on a bounded worker pool with
 // in-flight deduplication: concurrent Runs with equal keys collapse to
-// one simulation whose result every caller shares. Unlike the figure
-// harness, completed results are not retained — callers that want a
-// cache put one (e.g. an LRU keyed by JobSpec.Key) above the Runner, so
-// a long-running server's memory stays bounded.
+// one simulation whose result every caller shares. A NewRunner runner
+// retains no completed results, so a long-running server's memory stays
+// bounded by the cache it puts above the Runner. The figure harness's
+// runner keeps every flight that succeeded as its memo: a caller either
+// joins a flight or finds it kept, with no window between the two.
 type Runner struct {
 	scale Scale
 	sem   chan struct{}
+	keep  bool // retain flights that completed without error
 
-	mu       sync.Mutex
-	inflight map[string]*flight
+	mu      sync.Mutex
+	flights map[string]*flight
 
 	simulated atomic.Int64
 }
 
 // NewRunner creates a job runner at the given scale; par <= 0 selects
 // one worker per host core.
-func NewRunner(sc Scale, par int) *Runner {
-	par = parallelism(par)
+func NewRunner(sc Scale, par int) *Runner { return newRunner(sc, par, false) }
+
+// newRunner creates a runner that, with keep, is the harness's memo.
+func newRunner(sc Scale, par int, keep bool) *Runner {
 	return &Runner{
-		scale:    sc,
-		sem:      make(chan struct{}, par),
-		inflight: make(map[string]*flight),
+		scale:   sc,
+		sem:     make(chan struct{}, parallelism(par)),
+		keep:    keep,
+		flights: make(map[string]*flight),
 	}
 }
 
@@ -140,42 +146,60 @@ func (r *Runner) Scale() Scale { return r.scale }
 func (r *Runner) Parallelism() int { return cap(r.sem) }
 
 // Simulated reports how many simulations actually executed — duplicate
-// Runs collapsed by singleflight do not count. Tests and the server's
-// metrics endpoint use it to verify deduplication.
+// Runs collapsed by singleflight or served from kept flights do not
+// count. Tests and the server's metrics endpoint use it to verify
+// deduplication.
 func (r *Runner) Simulated() int64 { return r.simulated.Load() }
 
-// Run executes spec (or joins an identical in-flight execution) and
-// returns the shared result. progress, if non-nil, observes the
-// underlying simulation's per-execution progress even when this call
-// joined a flight started by another caller. Invalid specs return an
-// error without consuming a worker slot.
+// Run executes spec (or joins an identical flight) and returns the
+// shared result. progress, if non-nil, observes the underlying
+// simulation's per-execution progress even when this call joined a
+// flight started by another caller. Unknown workloads return an error
+// without consuming a worker slot.
 func (r *Runner) Run(spec JobSpec, progress run.ProgressFunc) (*run.Result, error) {
-	w, cfg, err := ResolveJob(spec, r.scale)
-	if err != nil {
-		return nil, err
-	}
 	key := spec.Key()
 	r.mu.Lock()
-	if f := r.inflight[key]; f != nil {
+	if f := r.flights[key]; f != nil {
 		r.mu.Unlock()
 		f.subscribe(progress)
 		<-f.done
 		return f.res, f.err
 	}
 	f := &flight{done: make(chan struct{})}
-	r.inflight[key] = f
+	r.flights[key] = f
 	r.mu.Unlock()
 
 	f.subscribe(progress)
-	r.sem <- struct{}{}
-	f.res, f.err = run.ExecuteWithProgress(w, cfg, f.broadcast)
-	<-r.sem
-	if f.err == nil {
-		r.simulated.Add(1)
+	w, cfg, err := ResolveJob(spec, r.scale)
+	if err == nil {
+		f.res, err = r.execute(w, cfg, nil, f.broadcast)
 	}
-	r.mu.Lock()
-	delete(r.inflight, key)
-	r.mu.Unlock()
+	f.err = err
+	if f.err != nil || !r.keep {
+		r.mu.Lock()
+		delete(r.flights, key)
+		r.mu.Unlock()
+	}
 	close(f.done)
 	return f.res, f.err
+}
+
+// execute simulates one resolved workload while holding a pool slot —
+// the only place a simulation runs. A non-nil director pins the policy
+// of an adaptive run (run.ExecuteAdaptive); such runs are not keyed by
+// Config.Hash, so they bypass the flights and run every time.
+func (r *Runner) execute(w *run.Workload, cfg run.Config, d policy.Director, progress run.ProgressFunc) (*run.Result, error) {
+	r.sem <- struct{}{}
+	defer func() { <-r.sem }()
+	var res *run.Result
+	var err error
+	if d != nil {
+		res, err = run.ExecuteAdaptive(w, cfg, d, progress)
+	} else {
+		res, err = run.ExecuteWithProgress(w, cfg, progress)
+	}
+	if err == nil {
+		r.simulated.Add(1)
+	}
+	return res, err
 }

@@ -97,6 +97,55 @@ func TestRunnerErrors(t *testing.T) {
 	}
 }
 
+// TestRunnerKeeps: a NewRunner runner (specrtd's) keeps no completed
+// flight, so the same spec run twice in a row simulates twice; the
+// harness's runner keeps it and simulates once. Neither keeps a flight
+// that returned an error (Procs 0 resolves but fails validation).
+func TestRunnerKeeps(t *testing.T) {
+	spec := quickSpec(run.HW, 2)
+	bad := JobSpec{Workload: "Track", Config: run.Config{Procs: 0}}
+	for _, tc := range []struct {
+		name string
+		r    *Runner
+		sims int64
+	}{
+		{"NewRunner", NewRunner(Quick, 1), 2},
+		{"harness", NewParallel(Quick, 1).runner, 1},
+	} {
+		first, err := tc.r.Run(spec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		second, err := tc.r.Run(spec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := tc.r.Simulated(); n != tc.sims {
+			t.Errorf("%s: two runs in a row simulated %d times, want %d", tc.name, n, tc.sims)
+		}
+		if kept := second == first; kept != (tc.sims == 1) {
+			t.Errorf("%s: second run shared the first result = %v", tc.name, kept)
+		}
+		if second.Cycles != first.Cycles {
+			t.Errorf("%s: repeat run cycles %d, first %d", tc.name, second.Cycles, first.Cycles)
+		}
+		for i := 0; i < 2; i++ {
+			if _, err := tc.r.Run(bad, nil); err == nil {
+				t.Fatalf("%s: Procs 0 did not error", tc.name)
+			}
+		}
+		if _, ok := tc.r.flights[bad.Key()]; ok {
+			t.Errorf("%s: kept a flight that returned an error", tc.name)
+		}
+		if _, ok := tc.r.flights[spec.Key()]; ok != (tc.sims == 1) {
+			t.Errorf("%s: flight for the good spec kept = %v", tc.name, ok)
+		}
+		if n := tc.r.Simulated(); n != tc.sims {
+			t.Errorf("%s: failed runs counted as simulations: %d", tc.name, n)
+		}
+	}
+}
+
 // TestResolveJobScaleCap: the scale's execution cap folds into the
 // effective config the same way for every caller.
 func TestResolveJobScaleCap(t *testing.T) {
