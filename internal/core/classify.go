@@ -34,9 +34,9 @@ func (c *Controller) TryRead(p int, a mem.Addr) (sim.Time, bool) {
 	}
 	var ok bool
 	if arr.Proto == NonPriv {
-		_, ok = c.npClassifyRead(arr, p, a)
+		ok = c.npClassifyRead(arr, p, a)
 	} else {
-		_, ok = c.pvClassifyRead(arr, p, a)
+		ok = c.pvClassifyRead(arr, p, a)
 	}
 	if !ok {
 		return 0, false
@@ -59,9 +59,9 @@ func (c *Controller) TryWrite(p int, a mem.Addr) (sim.Time, bool) {
 	}
 	var ok bool
 	if arr.Proto == NonPriv {
-		_, ok = c.npClassifyWrite(arr, p, a)
+		ok = c.npClassifyWrite(arr, p, a)
 	} else {
-		_, ok = c.pvClassifyWrite(arr, p, a)
+		ok = c.pvClassifyWrite(arr, p, a)
 	}
 	if !ok {
 		return 0, false
@@ -74,30 +74,28 @@ func (c *Controller) TryWrite(p int, a mem.Addr) (sim.Time, bool) {
 }
 
 // lookupBits finds a in p's hierarchy without promoting or counting and
-// returns the frame, the hit latency, and the access-bit word for word
-// index wi (zero when the line has no bit window yet, matching what
-// EnsureBits would hand the perform step). An L2-only hit qualifies only
-// when the perform step's L1 promotion is purely local.
-func (c *Controller) lookupBits(p int, a mem.Addr, wi int) (*cache.Frame, sim.Time, abits.Word) {
+// returns the frame and the access-bit word for word index wi (zero when
+// the line has no bit window yet, matching what EnsureBits would hand the
+// perform step). An L2-only hit qualifies only when the perform step's L1
+// promotion is purely local.
+func (c *Controller) lookupBits(p int, a mem.Addr, wi int) (*cache.Frame, abits.Word) {
 	pr := c.M.Procs[p]
 	cc := pr.L1
 	fr := cc.Lookup(a)
-	lat := c.M.Cfg.Lat.L1Hit
 	if fr == nil {
 		cc = pr.L2
 		if fr = cc.Lookup(a); fr != nil && !c.M.PromoteIsLocal(p, a) {
 			fr = nil
 		}
-		lat = c.M.Cfg.Lat.L2Hit
 	}
 	if fr == nil {
-		return nil, 0, 0
+		return nil, 0
 	}
 	var w abits.Word
 	if bits := cc.Bits(fr); bits != nil {
 		w = bits[wi]
 	}
-	return fr, lat, w
+	return fr, w
 }
 
 // npClassifyRead mirrors npRead's hit path (Figure 6-(a)): the FAIL arm
@@ -105,71 +103,65 @@ func (c *Controller) lookupBits(p int, a mem.Addr, wi int) (*cache.Frame, sim.Ti
 // First_update / ROnly_update messages classify slow; everything else —
 // including bit flips on a dirty line, which tell the directory nothing —
 // is pure.
-func (c *Controller) npClassifyRead(arr *Array, p int, a mem.Addr) (sim.Time, bool) {
+func (c *Controller) npClassifyRead(arr *Array, p int, a mem.Addr) bool {
 	e := c.grain(arr.Region, arr.Region.ElemIndex(a))
 	wi := wordIndexOf(arr.Region, e, c.M.LineBytes())
-	fr, lat, w := c.lookupBits(p, a, wi)
+	fr, w := c.lookupBits(p, a, wi)
 	if fr == nil {
-		return 0, false
+		return false
 	}
 	switch {
 	case w.First() == abits.FirstOther && w.NoShr():
-		return 0, false // FAIL arm
+		return false // FAIL arm
 	case w.First() == abits.FirstNone,
 		w.First() == abits.FirstOther && !w.ROnly():
 		if fr.State != cache.Dirty {
-			return 0, false // clean-line tag change: update message to the home
+			return false // clean-line tag change: update message to the home
 		}
 	}
-	return lat, true
+	return true
 }
 
 // npClassifyWrite mirrors npWrite's hit path (Figure 6-(c)): fast only on
 // a dirty hit whose tag cannot FAIL (First != OTHER, no ROnly); the tag
 // becomes OWN+NoShr locally and the directory learns of it at writeback.
-func (c *Controller) npClassifyWrite(arr *Array, p int, a mem.Addr) (sim.Time, bool) {
+func (c *Controller) npClassifyWrite(arr *Array, p int, a mem.Addr) bool {
 	e := c.grain(arr.Region, arr.Region.ElemIndex(a))
 	wi := wordIndexOf(arr.Region, e, c.M.LineBytes())
-	fr, _, w := c.lookupBits(p, a, wi)
+	fr, w := c.lookupBits(p, a, wi)
 	if fr == nil || fr.State != cache.Dirty {
-		return 0, false // miss, or a clean-line upgrade at the home
+		return false // miss, or a clean-line upgrade at the home
 	}
-	if w.First() == abits.FirstOther || w.ROnly() {
-		return 0, false // FAIL arm
-	}
-	return c.M.Cfg.Lat.L1Hit, true
+	return w.First() != abits.FirstOther && !w.ROnly() // else the FAIL arm
 }
 
 // pvClassifyRead mirrors pvRead's hit path (Figure 8-(a)) on the private
 // copy: once the word is marked Read1st or Write for this iteration the
 // read is pure; the first touch of an iteration signals the directory.
-func (c *Controller) pvClassifyRead(arr *Array, p int, a mem.Addr) (sim.Time, bool) {
+func (c *Controller) pvClassifyRead(arr *Array, p int, a mem.Addr) bool {
 	e := arr.Region.ElemIndex(a)
 	priv := arr.Priv[p]
 	pa := priv.ElemAddr(e)
 	wi := wordIndexOf(priv, e, c.M.LineBytes())
-	fr, lat, w := c.lookupBits(p, pa, wi)
-	if fr == nil || !(w.Read1st() || w.Write()) {
-		return 0, false
-	}
-	return lat, true
+	fr, w := c.lookupBits(p, pa, wi)
+	return fr != nil && (w.Read1st() || w.Write())
 }
 
 // pvClassifyWrite mirrors pvWrite's hit path (Figure 9-(f)): a dirty hit
 // is pure unless this would be the processor's very first write to the
 // element (pMaxW still zero with no completed-epoch write), which sends a
 // first-write signal to the shared directory.
-func (c *Controller) pvClassifyWrite(arr *Array, p int, a mem.Addr) (sim.Time, bool) {
+func (c *Controller) pvClassifyWrite(arr *Array, p int, a mem.Addr) bool {
 	e := arr.Region.ElemIndex(a)
 	priv := arr.Priv[p]
 	pa := priv.ElemAddr(e)
 	wi := wordIndexOf(priv, e, c.M.LineBytes())
-	fr, _, w := c.lookupBits(p, pa, wi)
+	fr, w := c.lookupBits(p, pa, wi)
 	if fr == nil || fr.State != cache.Dirty {
-		return 0, false // miss, or a clean private-line upgrade
+		return false // miss, or a clean private-line upgrade
 	}
 	if !w.Write() && arr.pMaxW.Get(arr.pIdx(p, e)) == 0 && !arr.pvWroteEver(p, e) {
-		return 0, false // first write ever: first-write signal to the home
+		return false // first write ever: first-write signal to the home
 	}
-	return c.M.Cfg.Lat.L1Hit, true
+	return true
 }

@@ -114,23 +114,14 @@ func DefaultSyncCosts() SyncCosts {
 	return SyncCosts{LockAcquire: 30, LockHandoff: 40, BarrierCost: 40}
 }
 
-// Source supplies a processor's instruction stream lazily: it is called
-// when the processor is ready for its next instruction, so a source may
-// consult shared scheduling state (e.g. a dynamic iteration dispenser) at
-// the moment of the request. Returning ok=false ends the processor's
-// work.
-type Source func(p *Proc) (Instr, bool)
-
-// BulkSource optionally supplements a Source: it returns a view of
-// instructions the source has ALREADY generated (never generating new
-// ones — generation may touch shared scheduling state, whose update
-// order must stay tied to consumption order), which the processor then
-// consumes without a per-instruction source call. An empty return falls
-// back to the plain Source. The view is owned by the processor until
-// fully consumed; the source must not reuse its backing storage before
-// its next generation, which cannot happen earlier than the processor's
-// next Source/BulkSource call.
-type BulkSource func(p *Proc) []Instr
+// Source supplies a processor's instruction stream lazily, one batch at a
+// time: it is called only when the processor has used up its previous
+// batch, so a source may consult shared scheduling state (e.g. a dynamic
+// iteration dispenser) at the moment of the request. An empty batch ends
+// the processor's work; the source is not called again in this Run. The
+// processor owns a batch until it asks for the next one: the source may
+// reuse the batch's backing storage only from its next call on.
+type Source func(p *Proc) []Instr
 
 // Proc is one executing processor.
 type Proc struct {
@@ -141,14 +132,13 @@ type Proc struct {
 	// Instrs counts executed instructions by kind.
 	Instrs [8]uint64
 
-	src     Source
-	bulk    BulkSource
+	src     Source // nil once it has returned an empty batch
 	blocked bool
 	sys     *System
 
-	// q is the bulk-refill queue: a view of already-generated
-	// instructions handed over by bulk, consumed by index so the hot
-	// take path is a bounds check instead of an indirect call.
+	// q is the current batch and qh the index of its next instruction.
+	// The fused path puts back an instruction it cannot run inline with
+	// qh--, so the stepped path picks it up at the right simulated time.
 	q  []Instr
 	qh int
 	// stepFn is the processor's step closure, bound once at system
@@ -157,13 +147,6 @@ type Proc struct {
 	// allocation profile.
 	stepFn func()
 
-	// pending is a one-instruction pushback buffer: sources are
-	// consuming closures, so when the fused fast path pulls an
-	// instruction it cannot execute inline, it parks it here for the
-	// stepped path to pick up at the right simulated time.
-	pending    Instr
-	hasPending bool
-
 	// waitKind/waitID identify what a blocked processor is waiting on
 	// ("lock" or "barrier" plus its ID), so a deadlock can name every
 	// blocked processor's wait object instead of just one ID.
@@ -171,25 +154,20 @@ type Proc struct {
 	waitID   int
 }
 
-// take returns the processor's next instruction, honoring the pushback
-// buffer and the bulk queue before consulting the source.
-func (p *Proc) take() (Instr, bool) {
-	if p.hasPending {
-		p.hasPending = false
-		return p.pending, true
-	}
-	if p.qh < len(p.q) {
-		in := p.q[p.qh]
-		p.qh++
-		return in, true
-	}
-	if p.bulk != nil {
-		if q := p.bulk(p); len(q) > 0 {
-			p.q, p.qh = q, 1
-			return q[0], true
+// next returns the processor's next instruction, asking the source for a
+// new batch once the current one is used up.
+func (p *Proc) next() (Instr, bool) {
+	if p.qh == len(p.q) {
+		if p.src == nil {
+			return Instr{}, false
+		}
+		if p.q, p.qh = p.src(p), 0; len(p.q) == 0 {
+			p.src = nil
+			return Instr{}, false
 		}
 	}
-	return p.src(p)
+	p.qh++
+	return p.q[p.qh-1], true
 }
 
 // System drives a set of processors over a machine. If Ctl is non-nil,
@@ -285,18 +263,10 @@ func (s *System) abort(f *core.Failure) {
 
 // Run executes the given instruction sources (one per participating
 // processor; sources[i] drives processor procIDs[i]) to completion or
-// abort, and returns the elapsed cycles. An optional bulk argument
-// supplies per-processor BulkSources parallel to sources.
-func (s *System) Run(procIDs []int, sources []Source, bulk ...[]BulkSource) sim.Time {
+// abort, and returns the elapsed cycles.
+func (s *System) Run(procIDs []int, sources []Source) sim.Time {
 	if len(procIDs) != len(sources) {
 		panic("cpu: procIDs and sources length mismatch")
-	}
-	var bulks []BulkSource
-	if len(bulk) > 0 {
-		bulks = bulk[0]
-		if len(bulks) != len(sources) {
-			panic("cpu: bulk sources and sources length mismatch")
-		}
 	}
 	s.aborted = false
 	s.excepted = false
@@ -318,14 +288,9 @@ func (s *System) Run(procIDs []int, sources []Source, bulk ...[]BulkSource) sim.
 	for i, id := range procIDs {
 		p := s.Procs[id]
 		p.src = sources[i]
-		p.bulk = nil
-		if bulks != nil {
-			p.bulk = bulks[i]
-		}
 		p.q, p.qh = nil, 0
 		p.Done = false
 		p.blocked = false
-		p.hasPending = false
 		p.waitKind = ""
 		s.M.Eng.Schedule(0, p.stepFn)
 	}
@@ -371,15 +336,8 @@ func (s *System) step(p *Proc) {
 		s.finish(p)
 		return
 	}
-	// The bulk-queue fast case is written out here (and in fuse's loop):
-	// one call per instruction to take() is measurable at instruction
-	// volume, and this branch hits whenever a bulk source is wired.
-	var in Instr
-	var ok bool
-	if !p.hasPending && p.qh < len(p.q) {
-		in, ok = p.q[p.qh], true
-		p.qh++
-	} else if in, ok = p.take(); !ok {
+	in, ok := p.next()
+	if !ok {
 		s.finish(p)
 		return
 	}
@@ -389,15 +347,15 @@ func (s *System) step(p *Proc) {
 	s.exec1(p, in)
 }
 
-// fuse executes a local-horizon batch starting with `first` and reports
+// fuse executes a local-horizon run starting with `first` and reports
 // whether it handled it (false: nothing was consumed or performed; the
 // caller runs the stepped path).
 //
 // Exactness argument. In stepped mode, instruction i of the run executes
 // inside an event at its issue time T_i, and T_{i+1} = T_i + lat_i. A
 // fused instruction is locally deterministic — it schedules nothing,
-// reads nothing time-dependent, and cannot fail — so while the batch
-// runs, no event executes and none is added: the earliest pending event
+// reads nothing time-dependent, and cannot fail — so while the fused run
+// executes, no event executes and none is added: the earliest pending event
 // time (`limit`) is constant, computed once up front. Fusing instruction
 // i is allowed only while T_i < limit (the first instruction is exempt:
 // this step event IS its issue at T_0 = now). That guarantees every
@@ -416,7 +374,7 @@ func (s *System) fuse(p *Proc, first Instr) bool {
 	if bounded && limit-end < 2 {
 		// Another event is due within a cycle (processors running in
 		// lockstep): no second instruction can fit before the limit, so a
-		// batch would hold exactly one instruction — all classification
+		// fused run would hold exactly one instruction — all classification
 		// overhead, no saved events. Step instead.
 		return false
 	}
@@ -429,19 +387,15 @@ func (s *System) fuse(p *Proc, first Instr) bool {
 		if bounded && end >= limit {
 			break
 		}
-		var in Instr
-		var ok bool
-		if !p.hasPending && p.qh < len(p.q) {
-			in, ok = p.q[p.qh], true
-			p.qh++
-		} else if in, ok = p.take(); !ok {
+		in, ok := p.next()
+		if !ok {
 			// Source exhausted: the step below observes it at the run's
 			// end time and finishes the processor, as stepped mode would.
 			break
 		}
 		lat, ok := s.fuseOne(p, in)
 		if !ok {
-			p.pending, p.hasPending = in, true
+			p.qh-- // the stepped path runs it at its issue time
 			break
 		}
 		end += lat
@@ -481,8 +435,8 @@ func (s *System) fuseOne(p *Proc, in Instr) (sim.Time, bool) {
 	return 0, false
 }
 
-// accountMem splits a memory access latency into Busy and Mem exactly as
-// the stepped path does.
+// accountMem splits a memory access latency into Busy and Mem, for the
+// stepped and fused paths alike.
 func (s *System) accountMem(p *Proc, lat sim.Time) {
 	busy := lat
 	if busy > s.M.Cfg.Lat.L1Hit {
@@ -521,12 +475,7 @@ func (s *System) exec1(p *Proc, in Instr) {
 
 	case KLoad:
 		lat, err := s.read(p.ID, in.Addr)
-		busy := lat
-		if busy > s.M.Cfg.Lat.L1Hit {
-			busy = s.M.Cfg.Lat.L1Hit
-		}
-		p.B.Busy += busy
-		p.B.Mem += lat - busy
+		s.accountMem(p, lat)
 		if err != nil {
 			s.failSync(err)
 			s.finish(p)
@@ -536,12 +485,7 @@ func (s *System) exec1(p *Proc, in Instr) {
 
 	case KStore:
 		lat, err := s.write(p.ID, in.Addr)
-		busy := lat
-		if busy > s.M.Cfg.Lat.L1Hit {
-			busy = s.M.Cfg.Lat.L1Hit
-		}
-		p.B.Busy += busy
-		p.B.Mem += lat - busy
+		s.accountMem(p, lat)
 		if err != nil {
 			s.failSync(err)
 			s.finish(p)
@@ -669,40 +613,13 @@ func (s *System) barrierArrive(p *Proc, id int) {
 	b.arrived = b.arrived[:0]
 }
 
-// SliceSource adapts a pre-built instruction slice into a Source.
+// SliceSource adapts a pre-built instruction slice into a Source that
+// hands it over as one batch. The caller must not mutate instrs while the
+// processor runs.
 func SliceSource(instrs []Instr) Source {
-	i := 0
-	return func(*Proc) (Instr, bool) {
-		if i >= len(instrs) {
-			return Instr{}, false
-		}
-		in := instrs[i]
-		i++
-		return in, true
-	}
-}
-
-// SliceSourceBulk adapts a pre-built instruction slice into a Source and
-// a matching BulkSource. A fixed slice has no generation side effects,
-// so the bulk view can always hand over the whole remainder. The caller
-// must not mutate instrs while the processor runs.
-func SliceSourceBulk(instrs []Instr) (Source, BulkSource) {
-	i := 0
-	src := func(*Proc) (Instr, bool) {
-		if i >= len(instrs) {
-			return Instr{}, false
-		}
-		in := instrs[i]
-		i++
-		return in, true
-	}
-	bulk := func(*Proc) []Instr {
-		if i >= len(instrs) {
-			return nil
-		}
-		b := instrs[i:]
-		i = len(instrs)
+	return func(*Proc) []Instr {
+		b := instrs
+		instrs = nil
 		return b
 	}
-	return src, bulk
 }

@@ -7,6 +7,7 @@ import (
 	"specrt/internal/core"
 	"specrt/internal/machine"
 	"specrt/internal/mem"
+	"specrt/internal/sim"
 )
 
 func newSys(t *testing.T, procs int, withCtl bool) (*System, *machine.Machine) {
@@ -96,17 +97,17 @@ func TestLockHandoffOrder(t *testing.T) {
 	var order []int
 	mk := func(id int) Source {
 		emitted := 0
-		return func(p *Proc) (Instr, bool) {
+		return func(p *Proc) []Instr {
 			switch emitted {
 			case 0:
 				emitted++
-				return LockAcq(7), true
+				return []Instr{LockAcq(7)}
 			case 1:
 				emitted++
 				order = append(order, id)
-				return LockRel(7), true
+				return []Instr{LockRel(7)}
 			}
-			return Instr{}, false
+			return nil
 		}
 	}
 	s.Run([]int{0, 1, 2}, []Source{mk(0), mk(1), mk(2)})
@@ -131,17 +132,17 @@ func TestBarrierReleasesTogether(t *testing.T) {
 	var doneAt [2]int64
 	mk := func(id int, work int64) Source {
 		st := 0
-		return func(p *Proc) (Instr, bool) {
+		return func(p *Proc) []Instr {
 			switch st {
 			case 0:
 				st++
-				return Compute(work), true
+				return []Instr{Compute(work)}
 			case 1:
 				st++
-				return Barrier(1), true
+				return []Instr{Barrier(1)}
 			}
 			doneAt[id] = s.M.Eng.Now()
-			return Instr{}, false
+			return nil
 		}
 	}
 	s.Run([]int{0, 1}, []Source{mk(0, 10), mk(1, 500)})
@@ -271,17 +272,17 @@ func TestDynamicSourceSeesSharedState(t *testing.T) {
 	total := 10
 	mk := func(cost int64) Source {
 		pending := 0
-		return func(p *Proc) (Instr, bool) {
+		return func(p *Proc) []Instr {
 			if pending > 0 {
 				pending--
-				return Compute(cost), true
+				return []Instr{Compute(cost)}
 			}
 			if next >= total {
-				return Instr{}, false
+				return nil
 			}
 			next++
 			pending = 0
-			return Compute(cost), true
+			return []Instr{Compute(cost)}
 		}
 	}
 	s.Run([]int{0, 1}, []Source{mk(10), mk(100)})
@@ -366,5 +367,50 @@ func TestLockStateResetsBetweenRuns(t *testing.T) {
 		if !p.Done {
 			t.Fatal("processor stuck on stale lock state")
 		}
+	}
+}
+
+func TestBatchSourceContract(t *testing.T) {
+	// Two batches whose fused run crosses the batch boundary and stops
+	// partway through the second batch at a lock, and whose last fused
+	// run meets the closing empty batch: the stepped and fused paths must
+	// account the same instructions and cycles, and both must ask the
+	// source once per batch plus once for the empty one.
+	run := func(fast bool) (*Proc, sim.Time, int, uint64) {
+		s, m := newSys(t, 1, false)
+		s.FastPath = fast
+		a := m.Space.Alloc("A", 64, 4, mem.Local, 0).ElemAddr(0)
+		batches := [][]Instr{
+			{Load(a), Compute(3), Load(a), Compute(2)}, // miss, then an L1 hit
+			{Compute(4), LockAcq(1), Compute(5), LockRel(1), Compute(6)},
+		}
+		calls := 0
+		src := func(*Proc) []Instr {
+			calls++
+			if len(batches) == 0 {
+				return nil
+			}
+			b := batches[0]
+			batches = batches[1:]
+			return b
+		}
+		elapsed := s.Run([]int{0}, []Source{src})
+		return s.Procs[0], elapsed, calls, m.Eng.EventsRun()
+	}
+	stepped, stepElapsed, stepCalls, stepEvents := run(false)
+	fused, fuseElapsed, fuseCalls, fuseEvents := run(true)
+	if stepped.Instrs != fused.Instrs || stepped.B != fused.B || stepElapsed != fuseElapsed {
+		t.Fatalf("stepped %v %+v %d cycles, fused %v %+v %d cycles",
+			stepped.Instrs, stepped.B, stepElapsed, fused.Instrs, fused.B, fuseElapsed)
+	}
+	if stepped.Instrs[KLockAcq] != 1 || stepped.Instrs[KLoad] != 2 || stepped.Instrs[KCompute] != 5 {
+		t.Fatalf("stepped path ran %v", stepped.Instrs)
+	}
+	if stepCalls != 3 || fuseCalls != 3 {
+		t.Fatalf("source calls: stepped %d, fused %d; want 3 (two batches and the empty one)",
+			stepCalls, fuseCalls)
+	}
+	if fuseEvents >= stepEvents {
+		t.Fatalf("fused path ran %d events, stepped %d: nothing was fused", fuseEvents, stepEvents)
 	}
 }

@@ -403,13 +403,13 @@ func TestWithReadIn(elems int, ops []Op) Result {
 
 // ProcessorWise rewrites a trace for the processor-wise test (§2.2.3):
 // each processor's chunk of contiguous iterations becomes one
-// super-iteration. chunkOf maps an iteration to its processor.
-func ProcessorWise(ops []Op, chunkOf func(iter int) int) []Op {
-	out := make([]Op, len(ops))
-	for i, op := range ops {
-		out[i] = Op{Iter: chunkOf(op.Iter), Elem: op.Elem, Write: op.Write}
+// super-iteration. chunkOf maps an iteration to its processor. The
+// rewritten ops are appended to dst, so a caller can reuse one buffer.
+func ProcessorWise(dst, ops []Op, chunkOf func(iter int) int) []Op {
+	for _, op := range ops {
+		dst = append(dst, Op{Iter: chunkOf(op.Iter), Elem: op.Elem, Write: op.Write})
 	}
-	return out
+	return dst
 }
 
 // Oracle decides ground truth by simulating the loop serially: the loop

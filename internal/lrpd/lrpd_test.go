@@ -150,7 +150,7 @@ func TestProcessorWiseHidesIntraChunkDependences(t *testing.T) {
 		t.Fatalf("iteration-wise verdict = %v", res.Verdict)
 	}
 	chunkOf := func(iter int) int { return iter / 2 }
-	pw := ProcessorWise(ops, chunkOf)
+	pw := ProcessorWise(nil, ops, chunkOf)
 	if res := TestWithReadIn(8, pw); res.Verdict == NotParallel {
 		t.Fatalf("processor-wise verdict = %v, want parallel", res.Verdict)
 	}
@@ -260,7 +260,7 @@ func TestPropertyProcessorWiseWeaker(t *testing.T) {
 		ops := randomTrace(rng, iters, 6, 3)
 		iw := TestWithReadIn(6, ops).Verdict
 		chunk := (iters + procs - 1) / procs
-		pw := TestWithReadIn(6, ProcessorWise(ops, func(i int) int { return i / chunk }))
+		pw := TestWithReadIn(6, ProcessorWise(nil, ops, func(i int) int { return i / chunk }))
 		if iw != NotParallel && pw.Verdict == NotParallel {
 			return false
 		}

@@ -98,7 +98,6 @@ type loopGen struct {
 	exec int
 
 	buf []cpu.Instr
-	pos int
 
 	blocks []sched.Block // static / block-cyclic assignment
 	bi     int
@@ -114,36 +113,18 @@ type loopGen struct {
 	finished  bool
 }
 
-// fill hands the processor a view of the already-generated remainder of
-// the buffer (see cpu.BulkSource). It never calls generate: generation
-// consumes shared scheduling state (the dynamic dispenser) and appends
-// to the access trace, so its order must stay tied to consumption order
-// exactly as next keeps it. The view stays valid until the processor
-// exhausts it — only then can next run generate, which is the earliest
-// point the buffer's backing array is reset or regrown.
-func (g *loopGen) fill(*cpu.Proc) []cpu.Instr {
-	if g.pos >= len(g.buf) {
-		return nil
-	}
-	b := g.buf[g.pos:]
-	g.pos = len(g.buf)
-	return b
-}
-
-func (g *loopGen) next(*cpu.Proc) (cpu.Instr, bool) {
-	for {
-		if g.pos < len(g.buf) {
-			in := g.buf[g.pos]
-			g.pos++
-			return in, true
-		}
-		g.buf = g.buf[:0]
-		g.pos = 0
-		if g.finished {
-			return cpu.Instr{}, false
-		}
+// next is the processor's cpu.Source: it resets the buffer and generates
+// until it holds instructions or the schedule is finished. The processor
+// asks only once it has used up the previous batch, so generation — which
+// consumes shared scheduling state (the dynamic dispenser) and appends to
+// the access trace — stays tied to consumption order, and the buffer's
+// backing array is free to reuse.
+func (g *loopGen) next(*cpu.Proc) []cpu.Instr {
+	g.buf = g.buf[:0]
+	for len(g.buf) == 0 && !g.finished {
 		g.generate()
 	}
+	return g.buf
 }
 
 // generate refills the buffer with the next unit of work.
@@ -253,13 +234,11 @@ func (s *session) loopWindow(exec, lo, hi int) {
 	if s.loopGens == nil {
 		s.loopGens = make([]*loopGen, s.procs)
 		s.loopSrc = make([]cpu.Source, s.procs)
-		s.loopBulk = make([]cpu.BulkSource, s.procs)
 		s.loopBufs = make([][]cpu.Instr, s.procs)
 		for p := 0; p < s.procs; p++ {
 			g := &loopGen{}
 			s.loopGens[p] = g
 			s.loopSrc[p] = g.next
-			s.loopBulk[p] = g.fill
 			s.loopBufs[p] = getInstrBuf()
 		}
 	}
@@ -293,7 +272,7 @@ func (s *session) loopWindow(exec, lo, hi int) {
 			g.blocks = shift(g.blocks, sched.BlockCyclicBlocks(iters, s.procs, cfg.Chunk)[p])
 		}
 	}
-	s.sys.Run(s.procIDs, s.loopSrc, s.loopBulk)
+	s.sys.Run(s.procIDs, s.loopSrc)
 	for p, g := range s.loopGens {
 		s.loopBufs[p] = g.buf
 	}

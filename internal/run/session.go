@@ -72,18 +72,16 @@ type session struct {
 	sparseSaved []*arena.Bits
 	trace       [][]lrpd.Op   // [array] recorded accesses of this execution
 	staticMap   []sched.Block // schedule used, for the processor-wise test
-	// insBuf/srcBuf/bulkBuf are the reusable per-processor instruction
-	// buffers of the copy and merge phases.
-	insBuf  [][]cpu.Instr
-	srcBuf  []cpu.Source
-	bulkBuf []cpu.BulkSource
+	// insBuf/srcBuf are the reusable per-processor instruction buffers
+	// and sources of the copy and merge phases.
+	insBuf [][]cpu.Instr
+	srcBuf []cpu.Source
 	// loopBufs/loopGens are the reusable per-processor generator state of
 	// the loop phase; the generated-instruction buffers persist across
 	// windows and executions.
 	loopBufs [][]cpu.Instr
 	loopGens []*loopGen
 	loopSrc  []cpu.Source
-	loopBulk []cpu.BulkSource
 }
 
 // cacheConfigs returns the per-processor cache geometries cfg selects:
@@ -461,10 +459,7 @@ func (s *session) analyze(exec int, res *Result) bool {
 		}
 		ops := s.trace[i]
 		if s.w.SWProcWise {
-			s.pwBuf = s.pwBuf[:0]
-			for _, op := range ops {
-				s.pwBuf = append(s.pwBuf, lrpd.Op{Iter: s.chunkOf(op.Iter), Elem: op.Elem, Write: op.Write})
-			}
+			s.pwBuf = lrpd.ProcessorWise(s.pwBuf[:0], ops, s.chunkOf)
 			ops = s.pwBuf
 		}
 		sh := s.swShadows[i]
@@ -509,7 +504,6 @@ func (s *session) elemsPerLine(r mem.Region) int {
 func (s *session) phaseBufs() []cpu.Source {
 	if s.srcBuf == nil {
 		s.srcBuf = make([]cpu.Source, s.procs)
-		s.bulkBuf = make([]cpu.BulkSource, s.procs)
 		s.insBuf = make([][]cpu.Instr, s.procs)
 		for p := range s.insBuf {
 			s.insBuf[p] = getInstrBuf()
@@ -564,9 +558,9 @@ func (s *session) copyPhase(restore bool) {
 		}
 		ins = append(ins, cpu.Barrier(phaseBarrier))
 		s.insBuf[p] = ins
-		sources[p], s.bulkBuf[p] = cpu.SliceSourceBulk(ins)
+		sources[p] = cpu.SliceSource(ins)
 	}
-	s.sys.Run(s.procIDs, sources, s.bulkBuf)
+	s.sys.Run(s.procIDs, sources)
 }
 
 // lineSaved reports whether any element of the line starting at e was
@@ -597,23 +591,21 @@ func (s *session) copyOutPhase() {
 	sources := make([]cpu.Source, s.procs)
 	for p := 0; p < s.procs; p++ {
 		p := p
-		emitted := 0
-		sources[p] = func(*cpu.Proc) (cpu.Instr, bool) {
-			if emitted == 0 {
-				emitted++
-				var lat sim.Time
-				for i, a := range s.w.Arrays {
-					if a.Test == core.Priv && a.LiveOut {
-						lat += s.ctl.CopyOut(s.hwArrays[i], p)
-					}
+		asked := false
+		sources[p] = func(*cpu.Proc) []cpu.Instr {
+			if asked {
+				return nil
+			}
+			asked = true
+			// The charge is computed when the processor first asks for
+			// work: ChargeHomeTransfer reads the home's queue then.
+			var lat sim.Time
+			for i, a := range s.w.Arrays {
+				if a.Test == core.Priv && a.LiveOut {
+					lat += s.ctl.CopyOut(s.hwArrays[i], p)
 				}
-				return cpu.Compute(lat + 1), true
 			}
-			if emitted == 1 {
-				emitted++
-				return cpu.Barrier(phaseBarrier), true
-			}
-			return cpu.Instr{}, false
+			return []cpu.Instr{cpu.Compute(lat + 1), cpu.Barrier(phaseBarrier)}
 		}
 	}
 	s.sys.Run(s.procIDs, sources)
@@ -666,7 +658,7 @@ func (s *session) mergePhase() {
 		}
 		ins = append(ins, cpu.Barrier(phaseBarrier))
 		s.insBuf[p] = ins
-		sources[p], s.bulkBuf[p] = cpu.SliceSourceBulk(ins)
+		sources[p] = cpu.SliceSource(ins)
 	}
-	s.sys.Run(s.procIDs, sources, s.bulkBuf)
+	s.sys.Run(s.procIDs, sources)
 }
