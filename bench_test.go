@@ -247,6 +247,43 @@ func BenchmarkDirTxn1024Spill(b *testing.B) {
 	}
 }
 
+// fanoutHits keeps BenchmarkL2ProbeFanout4096's lookups live.
+var fanoutHits int
+
+// BenchmarkL2ProbeFanout4096 is the cache-probe layer under the widest
+// invalidation fan-out: one machine at directory.MaxProcs with the wide
+// cells' 8 KB / 64 KB caches and one line resident in every L2. An op
+// looks that line up in each processor's L2 in processor order, as a
+// write's invalidations visit the sharers: one frame of each of 4096
+// frame arrays, so the op measures host-memory reach into the frames,
+// not the directory.
+func BenchmarkL2ProbeFanout4096(b *testing.B) {
+	const procs = directory.MaxProcs
+	cfg := machine.DefaultConfig(procs)
+	cfg.L1.SizeBytes, cfg.L2.SizeBytes = 8*1024, 64*1024
+	cfg.Contention = false
+	m := machine.MustNew(cfg)
+	defer m.Release()
+	a := m.Space.Alloc("A", 16, 4, mem.Local, 0).ElemAddr(0)
+	for p := 0; p < procs; p++ {
+		m.Read(p, a)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hits := 0
+		for _, pr := range m.Procs {
+			if pr.L2.Lookup(a) != nil {
+				hits++
+			}
+		}
+		fanoutHits = hits
+	}
+	b.StopTimer()
+	if fanoutHits != procs {
+		b.Fatalf("line resident in %d L2s, want %d", fanoutHits, procs)
+	}
+}
+
 // BenchmarkCacheFlushSparse refills an 8192-set L2 with 64 scattered
 // lines (every fourth one dirty) and flushes it, once per op: the
 // between-executions flush of a mostly empty cache.
@@ -303,7 +340,7 @@ func BenchmarkPrivReadWrite(b *testing.B) {
 	m := benchMachine(2)
 	c := core.NewController(m)
 	r := m.Space.Alloc("A", 4096, 4, mem.RoundRobin, 0)
-	c.AddPriv(r, true)
+	c.AddPriv(r, core.PrivCopies(m.Space, r, m.Cfg.Procs), true)
 	c.Arm()
 	c.BeginIteration(0, 1)
 	b.ResetTimer()

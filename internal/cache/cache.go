@@ -41,7 +41,7 @@ func (s State) String() string {
 // Config describes a direct-mapped cache.
 type Config struct {
 	SizeBytes int // total capacity
-	LineBytes int // line size; must divide SizeBytes
+	LineBytes int // line size: a power of two, at least one word, dividing SizeBytes
 }
 
 // Validate checks the configuration for internal consistency.
@@ -55,19 +55,52 @@ func (c Config) Validate() error {
 	if c.LineBytes%abits.WordBytes != 0 {
 		return fmt.Errorf("cache: line %d not a multiple of word size", c.LineBytes)
 	}
+	if c.LineBytes&(c.LineBytes-1) != 0 {
+		return fmt.Errorf("cache: line %d not a power of two", c.LineBytes)
+	}
 	return nil
 }
 
-// Frame is one stored cache frame. Tag is the line-aligned base address
-// of the resident line (meaningful only when State != Invalid). win is
-// the id of the frame's access-bit window in the cache's allocator, or 0
-// while the line carries no bits (read them with Cache.Bits). Frame
-// holds no pointers, so a frame array is 16 bytes per set and never
-// scanned by the garbage collector.
+// MaxAddr returns the first address a cache of this geometry cannot
+// hold: MaxLines lines of LineBytes each (64 GB for 64-byte lines).
+func (c Config) MaxAddr() uint64 { return MaxLines * uint64(c.LineBytes) }
+
+// Frame is one stored cache frame, 8 pointer-free bytes, so a frame
+// array is never scanned by the garbage collector. tag packs the number
+// of the resident line (its address divided by the line size) above its
+// State in the two low bits, so an Invalid frame is all zero and a line
+// number must be below MaxLines; read the line's address with Cache.Tag.
+// win is the id of the frame's access-bit window in the cache's
+// allocator, or 0 while the line carries no bits (read them with
+// Cache.Bits).
 type Frame struct {
-	Tag   mem.Addr
-	State State
-	win   int32
+	tag uint32
+	win int32
+}
+
+// MaxLines bounds the line numbers a Frame's tag word holds above its
+// state bits; Config.MaxAddr turns it into an address bound.
+const MaxLines = 1 << (32 - stateBits)
+
+const (
+	stateBits = 2
+	stateMask = 1<<stateBits - 1
+)
+
+// State returns the frame's coherence state.
+func (f *Frame) State() State { return State(f.tag & stateMask) }
+
+// SetState changes a valid frame's state to st, Clean or Dirty; a line
+// leaves the cache only through Invalidate, FlushAll or eviction.
+func (f *Frame) SetState(st State) { f.tag = f.tag&^stateMask | uint32(st) }
+
+// holds reports whether the frame holds line number n in a valid state,
+// with one compare: the packed word XOR the shifted line number leaves
+// exactly the state bits when the lines match, and Invalid (0) wraps to
+// the largest value. A line number of MaxLines or more leaves high bits
+// set and never matches.
+func (f *Frame) holds(n uint64) bool {
+	return (uint64(f.tag)^n<<stateBits)-1 < uint64(Dirty)
 }
 
 // Line is a frame's contents handed out by value: an evicted victim, the
@@ -107,10 +140,10 @@ type Cache struct {
 	scratch []abits.Word
 	Stats   Stats
 
-	// pow2/lineShift/setMask strength-reduce the set-index computation
-	// when both the line size and the set count are powers of two (the
-	// §5.1 geometries always are): the generic divide-and-modulo by
-	// non-constant divisors showed up as one of the hottest instructions
+	// lineShift turns an address into its line number. pow2/setMask
+	// strength-reduce the set index when the set count is a power of two
+	// (the §5.1 geometries always are): the generic modulo by a
+	// non-constant divisor showed up as one of the hottest instructions
 	// in the whole simulator, on every Lookup.
 	pow2      bool
 	lineShift uint64
@@ -171,18 +204,18 @@ func New(cfg Config) *Cache {
 	wpl := abits.WordsPerLine(cfg.LineBytes)
 	fa := getFrames(sets, wpl)
 	c := &Cache{
-		cfg:     cfg,
-		sets:    sets,
-		frames:  fa.frames,
-		wpl:     wpl,
-		wins:    fa.wins,
-		scratch: fa.scratch,
-		occ:     fa.occ,
-		pooled:  fa,
+		cfg:       cfg,
+		sets:      sets,
+		frames:    fa.frames,
+		wpl:       wpl,
+		wins:      fa.wins,
+		scratch:   fa.scratch,
+		occ:       fa.occ,
+		pooled:    fa,
+		lineShift: uint64(bits.TrailingZeros64(uint64(cfg.LineBytes))),
 	}
-	if cfg.LineBytes&(cfg.LineBytes-1) == 0 && sets&(sets-1) == 0 {
+	if sets&(sets-1) == 0 {
 		c.pow2 = true
-		c.lineShift = uint64(bits.TrailingZeros64(uint64(cfg.LineBytes)))
 		c.setMask = uint64(sets - 1)
 	}
 	return c
@@ -227,19 +260,32 @@ func (c *Cache) WordIndex(a mem.Addr) int {
 	return int(a&mem.Addr(c.cfg.LineBytes-1)) / abits.WordBytes
 }
 
-func (c *Cache) set(line mem.Addr) int {
+// lineNum returns the number of the line containing a: its address
+// divided by the line size.
+func (c *Cache) lineNum(a mem.Addr) uint64 { return uint64(a) >> c.lineShift }
+
+func (c *Cache) set(n uint64) int {
 	if c.pow2 {
-		return int(uint64(line) >> c.lineShift & c.setMask)
+		return int(n & c.setMask)
 	}
-	return int(uint64(line) / uint64(c.cfg.LineBytes) % uint64(c.sets))
+	return int(n % uint64(c.sets))
 }
+
+// addr returns the base address of the line a packed tag word names.
+func (c *Cache) addr(tag uint32) mem.Addr {
+	return mem.Addr(tag>>stateBits) << c.lineShift
+}
+
+// Tag returns the line-aligned base address of the line in fr, a frame
+// of this cache (meaningful only when fr.State() != Invalid).
+func (c *Cache) Tag(fr *Frame) mem.Addr { return c.addr(fr.tag) }
 
 // Lookup returns the frame holding the line containing a, or nil on miss.
 // It does not update statistics; callers record hit/miss once per access.
 func (c *Cache) Lookup(a mem.Addr) *Frame {
-	line := c.LineAddr(a)
-	fr := &c.frames[c.set(line)]
-	if fr.State != Invalid && fr.Tag == line {
+	n := c.lineNum(a)
+	fr := &c.frames[c.set(n)]
+	if fr.holds(n) {
 		return fr
 	}
 	return nil
@@ -251,8 +297,8 @@ func (c *Cache) Lookup(a mem.Addr) *Frame {
 // displace before deciding whether an access is locally deterministic,
 // without touching statistics or state.
 func (c *Cache) SetOccupant(a mem.Addr) *Frame {
-	fr := &c.frames[c.set(c.LineAddr(a))]
-	if fr.State == Invalid {
+	fr := &c.frames[c.set(c.lineNum(a))]
+	if fr.tag == 0 {
 		return nil
 	}
 	return fr
@@ -289,14 +335,18 @@ func (c *Cache) Install(a mem.Addr, st State, bits []abits.Word) (victim Line, e
 	if bits != nil && len(bits) != c.wpl {
 		panic(fmt.Sprintf("cache: bits len %d, want %d", len(bits), c.wpl))
 	}
-	line := c.LineAddr(a)
-	set := c.set(line)
+	n := c.lineNum(a)
+	if n >= MaxLines {
+		panic(fmt.Sprintf("cache: address %#x at or above the %#x address bound", a, c.cfg.MaxAddr()))
+	}
+	set := c.set(n)
 	fr := &c.frames[set]
+	tag := uint32(n) << stateBits
 	switch {
-	case fr.State == Invalid:
+	case fr.tag == 0:
 		c.occ[set>>6] |= 1 << (set & 63)
-	case fr.Tag != line:
-		victim, evicted = Line{Tag: fr.Tag, State: fr.State}, true
+	case fr.tag&^stateMask != tag:
+		victim, evicted = Line{Tag: c.addr(fr.tag), State: fr.State()}, true
 		if fr.win != 0 {
 			// The victim's bits sit in this frame's window, which the
 			// new line is about to overwrite or give back; move them to
@@ -322,7 +372,7 @@ func (c *Cache) Install(a mem.Addr, st State, bits []abits.Word) (victim Line, e
 		c.wins.Free(win)
 		win = 0
 	}
-	*fr = Frame{Tag: line, State: st, win: win}
+	*fr = Frame{tag: tag | uint32(st), win: win}
 	return victim, evicted
 }
 
@@ -350,10 +400,12 @@ func (c *Cache) SetBits(fr *Frame, bits []abits.Word) {
 	copy(c.wins.Window(fr.win), bits)
 }
 
-// line returns frame i's contents as a Line whose Bits alias its window.
-func (c *Cache) line(i int) Line {
-	fr := &c.frames[i]
-	l := Line{Tag: fr.Tag, State: fr.State}
+// line returns fr's contents as a Line whose Bits alias its window. It
+// takes the frame by value and unpacks the tag word itself, which keeps
+// it within the inlining budget: Invalidate and FlushAll call it per
+// line.
+func (c *Cache) line(fr Frame) Line {
+	l := Line{Tag: c.addr(fr.tag), State: State(fr.tag & stateMask)}
 	if fr.win != 0 {
 		l.Bits = c.wins.Window(fr.win)
 	}
@@ -365,13 +417,13 @@ func (c *Cache) line(i int) Line {
 // window goes back to the allocator; the returned Bits keep their
 // values until the cache next installs or writes bits.
 func (c *Cache) Invalidate(a mem.Addr) (old Line, ok bool) {
-	line := c.LineAddr(a)
-	set := c.set(line)
+	n := c.lineNum(a)
+	set := c.set(n)
 	fr := &c.frames[set]
-	if fr.State == Invalid || fr.Tag != line {
+	if !fr.holds(n) {
 		return Line{}, false
 	}
-	old = c.line(set)
+	old = c.line(*fr)
 	if fr.win != 0 {
 		c.wins.Free(fr.win)
 	}
@@ -383,14 +435,14 @@ func (c *Cache) Invalidate(a mem.Addr) (old Line, ok bool) {
 // Downgrade moves the line containing a from Dirty to Clean, returning its
 // prior contents so the caller can write data and bits back to memory.
 func (c *Cache) Downgrade(a mem.Addr) (old Line, ok bool) {
-	line := c.LineAddr(a)
-	set := c.set(line)
+	n := c.lineNum(a)
+	set := c.set(n)
 	fr := &c.frames[set]
-	if fr.State == Invalid || fr.Tag != line {
+	if !fr.holds(n) {
 		return Line{}, false
 	}
-	old = c.line(set)
-	fr.State = Clean
+	old = c.line(*fr)
+	fr.SetState(Clean)
 	return old, true
 }
 
@@ -403,8 +455,8 @@ func (c *Cache) FlushAll(cb func(Line)) {
 	for wi, w := range c.occ {
 		for ; w != 0; w &= w - 1 {
 			i := wi<<6 | bits.TrailingZeros64(w)
-			if c.frames[i].State == Dirty && cb != nil {
-				cb(c.line(i))
+			if c.frames[i].State() == Dirty && cb != nil {
+				cb(c.line(c.frames[i]))
 			}
 			c.frames[i] = Frame{}
 		}
@@ -422,7 +474,7 @@ func (c *Cache) ClearBits(keep func(line mem.Addr) bool, mutate func(abits.Word)
 		for ; w != 0; w &= w - 1 {
 			i := wi<<6 | bits.TrailingZeros64(w)
 			fr := &c.frames[i]
-			if fr.win == 0 || keep != nil && !keep(fr.Tag) {
+			if fr.win == 0 || keep != nil && !keep(c.addr(fr.tag)) {
 				continue
 			}
 			win := c.wins.Window(fr.win)
@@ -439,7 +491,7 @@ func (c *Cache) ClearBits(keep func(line mem.Addr) bool, mutate func(abits.Word)
 func (c *Cache) ForEach(fn func(Line)) {
 	for wi, w := range c.occ {
 		for ; w != 0; w &= w - 1 {
-			fn(c.line(wi<<6 | bits.TrailingZeros64(w)))
+			fn(c.line(c.frames[wi<<6|bits.TrailingZeros64(w)]))
 		}
 	}
 }

@@ -18,6 +18,7 @@ func TestConfigValidate(t *testing.T) {
 		{SizeBytes: 64, LineBytes: 0},
 		{SizeBytes: 100, LineBytes: 64},
 		{SizeBytes: 128, LineBytes: 6},
+		{SizeBytes: 96, LineBytes: 12}, // a word multiple, not a power of two
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -49,7 +50,7 @@ func TestMissThenHit(t *testing.T) {
 	}
 	c.Install(0x1000, Clean, nil)
 	fr := c.Probe(0x1010) // same line
-	if fr == nil || fr.State != Clean {
+	if fr == nil || fr.State() != Clean {
 		t.Fatal("expected hit on installed line")
 	}
 	if c.Stats.Hits != 1 || c.Stats.Misses != 1 {
@@ -138,7 +139,7 @@ func TestDowngrade(t *testing.T) {
 	if !ok || old.State != Dirty {
 		t.Fatalf("Downgrade = %+v %v", old, ok)
 	}
-	if fr := c.Lookup(0x3000); fr == nil || fr.State != Clean {
+	if fr := c.Lookup(0x3000); fr == nil || fr.State() != Clean {
 		t.Fatal("line not Clean after downgrade")
 	}
 	if _, ok := c.Downgrade(0x9999000); ok {
@@ -208,7 +209,7 @@ func TestPropertyInstallLookup(t *testing.T) {
 			a := mem.Addr(raw)
 			c.Install(a, Clean, nil)
 			fr := c.Lookup(a)
-			if fr == nil || fr.Tag != c.LineAddr(a) {
+			if fr == nil || c.Tag(fr) != c.LineAddr(a) {
 				return false
 			}
 		}
@@ -247,11 +248,11 @@ func TestVictimBitsNotAliased(t *testing.T) {
 	}
 }
 
-// Frames are stored by value in a flat array: 16 bytes each, with no
+// Frames are stored by value in a flat array: 8 bytes each, with no
 // pointer the garbage collector would have to scan.
-func TestFrameIsPointerFree16Bytes(t *testing.T) {
-	if sz := unsafe.Sizeof(Frame{}); sz != 16 {
-		t.Fatalf("Frame is %d bytes, want 16", sz)
+func TestFrameIsPointerFree8Bytes(t *testing.T) {
+	if sz := unsafe.Sizeof(Frame{}); sz != 8 {
+		t.Fatalf("Frame is %d bytes, want 8", sz)
 	}
 	ft := reflect.TypeOf(Frame{})
 	for i := 0; i < ft.NumField(); i++ {
@@ -263,6 +264,94 @@ func TestFrameIsPointerFree16Bytes(t *testing.T) {
 			t.Errorf("Frame.%s has kind %v, want a pointer-free scalar", f.Name, f.Type.Kind())
 		}
 	}
+}
+
+// The packed tag word must keep line number and state apart at both ends
+// of the representable range: line 0 in any valid state is not an empty
+// frame, and the highest line is not confused with a line that differs
+// from it only in the top bit of its number (same set) or lies the whole
+// address bound above it.
+func TestFramePacking(t *testing.T) {
+	const lb = 64
+	maxAddr := mem.Addr(small().Config().MaxAddr())
+	if maxAddr != MaxLines*lb {
+		t.Fatalf("MaxAddr = %#x, want %d lines of %d bytes", maxAddr, MaxLines, lb)
+	}
+	for _, line := range []mem.Addr{0, maxAddr - lb} {
+		alias := line ^ maxAddr>>1 // same set, top line-number bit flipped
+		for _, st := range []State{Clean, Dirty} {
+			c := small()
+			want := func(op string, got Line, ok bool, st State) {
+				t.Helper()
+				if !ok || got.Tag != line || got.State != st {
+					t.Fatalf("line %#x: %s = %#x %v %v, want %#x %v", line, op, got.Tag, got.State, ok, line, st)
+				}
+			}
+			miss := func(op string) {
+				t.Helper()
+				for _, a := range []mem.Addr{line, alias, line + maxAddr} {
+					if c.Lookup(a+4) != nil {
+						t.Fatalf("line %#x (%v): Lookup(%#x) hit %s", line, st, a+4, op)
+					}
+				}
+			}
+			miss("in an empty cache")
+			if c.SetOccupant(line) != nil {
+				t.Fatalf("line %#x: empty set has an occupant", line)
+			}
+			c.Install(line+lb-1, st, nil)
+			fr := c.Lookup(line + 4)
+			if fr == nil || c.Tag(fr) != line || fr.State() != st {
+				t.Fatalf("line %#x: Install(%v) then Lookup = %+v", line, st, fr)
+			}
+			if c.SetOccupant(alias) != fr {
+				t.Fatalf("line %#x: SetOccupant of the aliasing line is not the frame", line)
+			}
+			for _, a := range []mem.Addr{alias, line + maxAddr} {
+				if _, ok := c.Invalidate(a); ok {
+					t.Fatalf("line %#x: Invalidate(%#x) removed it", line, a)
+				}
+				if _, ok := c.Downgrade(a); ok {
+					t.Fatalf("line %#x: Downgrade(%#x) reported ok", line, a)
+				}
+			}
+			old, ok := c.Downgrade(line)
+			want("Downgrade", old, ok, st)
+			old, ok = c.Invalidate(line)
+			want("Invalidate", old, ok, Clean)
+			miss("after Invalidate")
+			if c.SetOccupant(line) != nil {
+				t.Fatalf("line %#x: invalidated set has an occupant", line)
+			}
+
+			c.Install(line, Clean, nil)
+			c.Lookup(line).SetState(st)
+			victim, ev := c.Install(alias, Clean, nil)
+			want("eviction victim", victim, ev, st)
+			victim, ev = c.Install(line, st, nil)
+			if !ev || victim.Tag != alias || victim.State != Clean {
+				t.Fatalf("line %#x: evicting the aliasing line gave %#x %v %v", line, victim.Tag, victim.State, ev)
+			}
+			var flushed []Line
+			c.FlushAll(func(l Line) { flushed = append(flushed, l) })
+			if st == Dirty {
+				if len(flushed) != 1 {
+					t.Fatalf("line %#x: FlushAll wrote back %d lines, want 1", line, len(flushed))
+				}
+				want("FlushAll", flushed[0], true, Dirty)
+			} else if len(flushed) != 0 {
+				t.Fatalf("line %#x: FlushAll wrote back a clean line", line)
+			}
+			miss("after FlushAll")
+			c.Release()
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Install at MaxAddr did not panic")
+		}
+	}()
+	small().Install(maxAddr, Clean, nil)
 }
 
 // checkWalkOrder fills every other set highest-first (so install order is
@@ -299,8 +388,9 @@ func checkWalkOrder(t *testing.T, cfg Config) {
 			t.Fatalf("%s visited %d frames, want %d", walk, len(tags), resident)
 		}
 		for i := 1; i < len(tags); i++ {
-			if c.set(tags[i-1]) >= c.set(tags[i]) {
-				t.Fatalf("%s visited set %d before set %d", walk, c.set(tags[i-1]), c.set(tags[i]))
+			prev, next := c.set(c.lineNum(tags[i-1])), c.set(c.lineNum(tags[i]))
+			if prev >= next {
+				t.Fatalf("%s visited set %d before set %d", walk, prev, next)
 			}
 		}
 	}

@@ -203,7 +203,7 @@ func (k *Checker) checkCoherence(line mem.Addr) {
 			}
 			continue
 		}
-		dirty := (l1 != nil && l1.State == cache.Dirty) || (l2 != nil && l2.State == cache.Dirty)
+		dirty := (l1 != nil && l1.State() == cache.Dirty) || (l2 != nil && l2.State() == cache.Dirty)
 		switch st {
 		case directory.Uncached:
 			k.fail("coh-uncached-no-copies", "line %#x dir UNCACHED but cached at proc %d", line, pr.ID)
@@ -374,7 +374,7 @@ func (k *Checker) checkNPQuiesced(mi *mirror) {
 				c = pr.L2 // the L1 copy, when present, is authoritative
 				fr = c.Lookup(line)
 			}
-			if fr == nil || fr.State != cache.Clean {
+			if fr == nil || fr.State() != cache.Clean {
 				continue
 			}
 			bits := c.Bits(fr)

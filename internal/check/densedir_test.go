@@ -35,7 +35,7 @@ func replayMirrored(t *testing.T, s *Stream, orderSeed uint64, mode directory.Mo
 	m.OnFail = func(error) {} // FAILs are fine; the directories must still agree
 	r := m.Space.Alloc("A", s.Elems, s.ElemSize, mem.RoundRobin, 0)
 	if s.Priv {
-		c.AddPriv(r, s.RICO)
+		c.AddPriv(r, core.PrivCopies(m.Space, r, m.Cfg.Procs), s.RICO)
 	} else {
 		c.AddNonPriv(r)
 	}

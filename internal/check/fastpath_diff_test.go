@@ -46,7 +46,7 @@ func execStream(t *testing.T, s *Stream, fastPath bool) cpuOutcome {
 	c := core.NewController(m)
 	r := m.Space.Alloc("A", s.Elems, s.ElemSize, mem.RoundRobin, 0)
 	if s.Priv {
-		c.AddPriv(r, s.RICO)
+		c.AddPriv(r, core.PrivCopies(m.Space, r, m.Cfg.Procs), s.RICO)
 	} else {
 		c.AddNonPriv(r)
 	}

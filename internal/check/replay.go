@@ -88,7 +88,7 @@ func ReplayOn(s *Stream, orderSeed uint64, inject core.InjectedBug, topo interco
 	r := m.Space.Alloc("A", s.Elems, s.ElemSize, mem.RoundRobin, 0)
 	var arr *core.Array
 	if s.Priv {
-		arr = c.AddPriv(r, s.RICO)
+		arr = c.AddPriv(r, core.PrivCopies(m.Space, r, m.Cfg.Procs), s.RICO)
 	} else {
 		arr = c.AddNonPriv(r)
 	}

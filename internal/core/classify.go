@@ -115,7 +115,7 @@ func (c *Controller) npClassifyRead(arr *Array, p int, a mem.Addr) bool {
 		return false // FAIL arm
 	case w.First() == abits.FirstNone,
 		w.First() == abits.FirstOther && !w.ROnly():
-		if fr.State != cache.Dirty {
+		if fr.State() != cache.Dirty {
 			return false // clean-line tag change: update message to the home
 		}
 	}
@@ -129,7 +129,7 @@ func (c *Controller) npClassifyWrite(arr *Array, p int, a mem.Addr) bool {
 	e := c.grain(arr.Region, arr.Region.ElemIndex(a))
 	wi := wordIndexOf(arr.Region, e, c.M.LineBytes())
 	fr, w := c.lookupBits(p, a, wi)
-	if fr == nil || fr.State != cache.Dirty {
+	if fr == nil || fr.State() != cache.Dirty {
 		return false // miss, or a clean-line upgrade at the home
 	}
 	return w.First() != abits.FirstOther && !w.ROnly() // else the FAIL arm
@@ -157,7 +157,7 @@ func (c *Controller) pvClassifyWrite(arr *Array, p int, a mem.Addr) bool {
 	pa := priv.ElemAddr(e)
 	wi := wordIndexOf(priv, e, c.M.LineBytes())
 	fr, w := c.lookupBits(p, pa, wi)
-	if fr == nil || fr.State != cache.Dirty {
+	if fr == nil || fr.State() != cache.Dirty {
 		return false // miss, or a clean private-line upgrade
 	}
 	if !w.Write() && arr.pMaxW.Get(arr.pIdx(p, e)) == 0 && !arr.pvWroteEver(p, e) {

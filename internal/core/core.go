@@ -299,22 +299,32 @@ func (c *Controller) AddNonPriv(r mem.Region) *Array {
 	return a
 }
 
-// AddPriv registers r for the privatization algorithm, allocating one
-// private copy per processor in that processor's local memory.
-func (c *Controller) AddPriv(r mem.Region, rico bool) *Array {
+// PrivCopies lays out on sp one private copy of r per processor, each
+// in that processor's local memory: the copies AddPriv takes.
+func PrivCopies(sp *mem.Space, r mem.Region, procs int) []mem.Region {
+	priv := make([]mem.Region, procs)
+	for p := range priv {
+		priv[p] = sp.Alloc(fmt.Sprintf("%s.priv%d", r.Name, p), r.Elems, r.ElemSize, mem.Local, p)
+	}
+	return priv
+}
+
+// AddPriv registers r for the privatization algorithm, with priv[p] the
+// private copy of processor p (PrivCopies).
+func (c *Controller) AddPriv(r mem.Region, priv []mem.Region, rico bool) *Array {
 	n := c.M.Cfg.Procs
+	if len(priv) != n {
+		panic(fmt.Sprintf("core: %d private copies of %s for %d processors", len(priv), r.Name, n))
+	}
 	a := &Array{
 		Region:   r,
 		Proto:    Priv,
 		RICO:     rico,
-		Priv:     make([]mem.Region, n),
+		Priv:     priv,
 		maxR1st:  arena.NewI32(r.Elems, 0),
 		minW:     arena.NewI32(r.Elems, noIter),
 		pMaxR1st: arena.NewI32(n*r.Elems, 0),
 		pMaxW:    arena.NewI32(n*r.Elems, 0),
-	}
-	for p := 0; p < n; p++ {
-		a.Priv[p] = c.M.Space.Alloc(fmt.Sprintf("%s.priv%d", r.Name, p), r.Elems, r.ElemSize, mem.Local, p)
 	}
 	c.arrays = append(c.arrays, a)
 	return a

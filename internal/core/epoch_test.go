@@ -120,7 +120,7 @@ func TestPropertyPrivWithEpochsMatchesOracle(t *testing.T) {
 		// processor) with EpochSync between windows.
 		e := newEnv(t, procs)
 		r := e.alloc("A", elems, 4)
-		e.c.AddPriv(r, true)
+		e.c.AddPriv(r, PrivCopies(e.m.Space, r, procs), true)
 		e.c.Arm()
 		hwFail := false
 		i := 0

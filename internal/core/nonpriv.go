@@ -32,14 +32,14 @@ func (c *Controller) npRead(arr *Array, p int, a mem.Addr) (sim.Time, error) {
 		switch {
 		case w.First() == abits.FirstNone:
 			bits[wi] = w.WithFirst(abits.FirstOwn)
-			if fr.State != cache.Dirty {
-				c.M.SyncBitsToL2(p, fr.Tag, bits)
+			if fr.State() != cache.Dirty {
+				c.M.SyncBitsToL2(p, a, bits)
 				c.sendFirstUpdate(arr, p, e)
 			}
 		case w.First() == abits.FirstOther && !w.ROnly():
 			bits[wi] = w.WithROnly(true)
-			if fr.State != cache.Dirty {
-				c.M.SyncBitsToL2(p, fr.Tag, bits)
+			if fr.State() != cache.Dirty {
+				c.M.SyncBitsToL2(p, a, bits)
 				c.sendROnlyUpdate(arr, p, e)
 			}
 		}
@@ -84,7 +84,7 @@ func (c *Controller) npWrite(arr *Array, p int, a mem.Addr) (sim.Time, error) {
 		if w.First() == abits.FirstOther || w.ROnly() {
 			return procLat, c.fail(FailWriteOfShared, arr, e, p, c.curIter[p])
 		}
-		if fr.State == cache.Clean {
+		if fr.State() == cache.Clean {
 			// Upgrade: the write request is serviced at the home
 			// (Figure 6-(d)); its reply carries fresh tag state.
 			lat, err := c.M.FetchWrite(p, a, c.npHomeWrite(arr, p, e, a))

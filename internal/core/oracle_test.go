@@ -127,7 +127,7 @@ func runPriv(t *testing.T, rng *rand.Rand, procs, elems int, prog []accessStep) 
 	t.Helper()
 	e := newEnv(t, procs)
 	r := e.alloc("A", elems, 4)
-	e.c.AddPriv(r, true)
+	e.c.AddPriv(r, PrivCopies(e.m.Space, r, procs), true)
 	e.c.Arm()
 
 	// Split per processor, then interleave randomly.

@@ -12,7 +12,7 @@ func privEnv(t *testing.T, procs int, rico bool) (*env, mem.Region, *Array) {
 	t.Helper()
 	e := newEnv(t, procs)
 	r := e.alloc("A", 64, 4)
-	arr := e.c.AddPriv(r, rico)
+	arr := e.c.AddPriv(r, PrivCopies(e.m.Space, r, procs), rico)
 	e.c.Arm()
 	return e, r, arr
 }
@@ -367,7 +367,7 @@ func TestTwoArraysIndependentState(t *testing.T) {
 	rn := e.alloc("N", 64, 4)
 	rp := e.alloc("P", 64, 4)
 	e.c.AddNonPriv(rn)
-	e.c.AddPriv(rp, true)
+	e.c.AddPriv(rp, PrivCopies(e.m.Space, rp, 2), true)
 	e.c.Arm()
 	e.c.BeginIteration(0, 1)
 	e.c.BeginIteration(1, 2)

@@ -219,7 +219,7 @@ func TestAsyncFailureAborts(t *testing.T) {
 func TestBeginIterCost(t *testing.T) {
 	s, m := newSys(t, 1, true)
 	r := m.Space.Alloc("A", 64, 4, mem.RoundRobin, 0)
-	s.Ctl.AddPriv(r, true)
+	s.Ctl.AddPriv(r, core.PrivCopies(m.Space, r, m.Cfg.Procs), true)
 	s.Ctl.Arm()
 	elapsed := s.Run([]int{0}, []Source{SliceSource([]Instr{BeginIter(1)})})
 	if elapsed != s.Ctl.IterClearCost {

@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"specrt/internal/directory"
+	"specrt/internal/policy"
 	"specrt/internal/run"
 )
 
@@ -164,5 +166,25 @@ func TestResolveJobScaleCap(t *testing.T) {
 	}
 	if cfg.MaxExecutions != 2 {
 		t.Fatalf("explicit tighter cap overridden: MaxExecutions=%d", cfg.MaxExecutions)
+	}
+}
+
+// Every paper loop at paper scale is admitted at directory.MaxProcs by
+// every scheme, adaptive included: the caches' address bound only stops
+// outside inputs such as traces. P3m under SW there lays out about
+// 4.5 GB of simulated memory, more than a byte-address tag word could
+// hold. Validate lays the space out without simulating anything.
+func TestPaperJobsFitAddressBoundAtMaxProcs(t *testing.T) {
+	for _, name := range []string{"Ocean", "P3m", "Adm", "Track"} {
+		for _, base := range []run.Config{{Mode: run.SW}, {Mode: run.HW}, {Mode: run.HW, Policy: policy.Adaptive}} {
+			base.Procs, base.Contention = directory.MaxProcs, true
+			w, cfg, err := ResolveJob(JobSpec{Workload: name, Config: base}, Paper)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := run.Validate(w, cfg); err != nil {
+				t.Errorf("%s %v (policy %v) at %d processors: %v", name, cfg.Mode, cfg.Policy, cfg.Procs, err)
+			}
+		}
 	}
 }

@@ -27,7 +27,7 @@ import (
 func (m *Machine) PromoteIsLocal(p int, a mem.Addr) bool {
 	pr := m.Procs[p]
 	v := pr.L1.SetOccupant(a)
-	return v == nil || v.State != cache.Dirty || pr.L2.Lookup(v.Tag) != nil
+	return v == nil || v.State() != cache.Dirty || pr.L2.Lookup(pr.L1.Tag(v)) != nil
 }
 
 // TryFastRead classifies and, when fast, performs a plain read in one
@@ -51,7 +51,7 @@ func (m *Machine) TryFastRead(p int, a mem.Addr) (sim.Time, bool) {
 	pr.L1.Stats.Misses++
 	pr.L2.Stats.Hits++
 	m.Stats.L2Hits++
-	m.installL1(p, fr.Tag, fr.State, pr.L2.Bits(fr))
+	m.installL1(p, a, fr.State(), pr.L2.Bits(fr))
 	return m.Cfg.Lat.L2Hit, true
 }
 
@@ -62,7 +62,7 @@ func (m *Machine) TryFastRead(p int, a mem.Addr) (sim.Time, bool) {
 func (m *Machine) TryFastWrite(p int, a mem.Addr) (sim.Time, bool) {
 	pr := m.Procs[p]
 	if fr := pr.L1.Lookup(a); fr != nil {
-		if fr.State != cache.Dirty {
+		if fr.State() != cache.Dirty {
 			return 0, false // clean hit: upgrade at the home
 		}
 		m.Stats.Writes++
@@ -71,13 +71,13 @@ func (m *Machine) TryFastWrite(p int, a mem.Addr) (sim.Time, bool) {
 		return m.Cfg.Lat.L1Hit, true
 	}
 	fr := pr.L2.Lookup(a)
-	if fr == nil || fr.State != cache.Dirty || !m.PromoteIsLocal(p, a) {
+	if fr == nil || fr.State() != cache.Dirty || !m.PromoteIsLocal(p, a) {
 		return 0, false
 	}
 	m.Stats.Writes++
 	pr.L1.Stats.Misses++
 	pr.L2.Stats.Hits++
 	m.Stats.L2Hits++
-	m.installL1(p, fr.Tag, fr.State, pr.L2.Bits(fr))
+	m.installL1(p, a, fr.State(), pr.L2.Bits(fr))
 	return m.Cfg.Lat.L1Hit, true
 }

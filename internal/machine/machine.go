@@ -473,7 +473,7 @@ func (m *Machine) FlushCaches() {
 		// the writeback below then carries the freshest tags.
 		p.L1.FlushAll(func(l cache.Line) {
 			if fr := l2.Lookup(l.Tag); fr != nil {
-				fr.State = cache.Dirty
+				fr.SetState(cache.Dirty)
 				if l.Bits != nil {
 					l2.SetBits(fr, l.Bits)
 				}

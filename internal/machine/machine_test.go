@@ -100,7 +100,7 @@ func TestWriteNonStalling(t *testing.T) {
 	if e.State != directory.Dirty || e.Owner != 0 {
 		t.Fatalf("dir after write = %+v", *e)
 	}
-	if fr := m.Procs[0].L1.Lookup(remote.ElemAddr(0)); fr == nil || fr.State != cache.Dirty {
+	if fr := m.Procs[0].L1.Lookup(remote.ElemAddr(0)); fr == nil || fr.State() != cache.Dirty {
 		t.Fatal("line not dirty in L1 after write")
 	}
 }
@@ -163,7 +163,7 @@ func TestDirtyReadDowngradesOwner(t *testing.T) {
 	m.Read(2, a)
 	// Owner keeps a clean copy; both are sharers now.
 	fr := m.Procs[1].L1.Lookup(a)
-	if fr == nil || fr.State != cache.Clean {
+	if fr == nil || fr.State() != cache.Clean {
 		t.Fatalf("owner copy after read by other = %+v", fr)
 	}
 	e := m.Dir(a)
@@ -456,7 +456,7 @@ func TestDirtyL1EvictionMergesToL2(t *testing.T) {
 		t.Fatal("line still in L1")
 	}
 	fr := m.Procs[0].L2.Lookup(a)
-	if fr == nil || fr.State != cache.Dirty {
+	if fr == nil || fr.State() != cache.Dirty {
 		t.Fatalf("L2 copy after dirty L1 eviction = %+v", fr)
 	}
 	// Directory still says dirty owner 0 (silent L1->L2 movement).
@@ -500,9 +500,9 @@ func TestPropertyCoherenceConsistency(t *testing.T) {
 				seen := map[mem.Addr]bool{}
 				for e := 0; e < arr.Elems; e += 16 {
 					a := arr.ElemAddr(e)
-					if fr := c.Lookup(a); fr != nil && !seen[fr.Tag] {
-						seen[fr.Tag] = true
-						holders[fr.Tag] = append(holders[fr.Tag], holder{pr.ID, fr.State})
+					if fr := c.Lookup(a); fr != nil && !seen[c.Tag(fr)] {
+						seen[c.Tag(fr)] = true
+						holders[c.Tag(fr)] = append(holders[c.Tag(fr)], holder{pr.ID, fr.State()})
 					}
 				}
 			}

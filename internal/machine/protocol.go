@@ -20,7 +20,7 @@ func (m *Machine) Probe(p int, a mem.Addr) (*cache.Frame, sim.Time, bool) {
 	}
 	if fr := pr.L2.Probe(a); fr != nil {
 		m.Stats.L2Hits++
-		l1fr := m.installL1(p, fr.Tag, fr.State, pr.L2.Bits(fr))
+		l1fr := m.installL1(p, a, fr.State(), pr.L2.Bits(fr))
 		return l1fr, m.Cfg.Lat.L2Hit, true
 	}
 	return nil, 0, false
@@ -36,7 +36,7 @@ func (m *Machine) installL1(p int, line mem.Addr, st cache.State, bits []abits.W
 			// Inclusion: fold the (possibly newer) L1 state and bits
 			// into the L2 copy.
 			if victim.State == cache.Dirty {
-				l2fr.State = cache.Dirty
+				l2fr.SetState(cache.Dirty)
 			}
 			if victim.Bits != nil {
 				pr.L2.SetBits(l2fr, victim.Bits)
@@ -323,7 +323,7 @@ func (m *Machine) Read(p int, a mem.Addr) sim.Time {
 func (m *Machine) Write(p int, a mem.Addr) sim.Time {
 	m.Stats.Writes++
 	fr, _, hit := m.Probe(p, a)
-	if hit && fr.State == cache.Dirty {
+	if hit && fr.State() == cache.Dirty {
 		return m.Cfg.Lat.L1Hit
 	}
 	// Upgrade or fetch-exclusive proceeds without stalling the processor.

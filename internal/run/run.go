@@ -495,6 +495,30 @@ func validate(w *Workload, cfg Config) error {
 			return fmt.Errorf("run: array %q has no elements", a.Name)
 		}
 	}
+	// Cache frames tag lines below the caches' address bound. An adaptive
+	// run may build a session for any strategy, so every variant must fit.
+	if cfg.Policy != policy.Adaptive {
+		return checkSpace(w, cfg)
+	}
+	for st := policy.Strategy(0); st < policy.NumStrategies; st++ {
+		if err := checkSpace(strategyVariant(w, cfg, st)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkSpace lays the session for (w, cfg) out on a scratch address
+// space, which allocates nothing per element, and rejects it when its
+// highest line is past what the caches can tag (cache.Config.MaxAddr).
+func checkSpace(w *Workload, cfg Config) error {
+	l1, _ := cacheConfigs(cfg)
+	limit := l1.MaxAddr()
+	procs := sessionProcs(cfg)
+	if _, fits := layoutSpace(mem.NewSpace(procs), w, cfg, procs, limit); !fits {
+		return fmt.Errorf("run: workload %q needs more simulated memory than the %d GB address bound (mode %v, procs=%d)",
+			w.Name, limit>>30, cfg.Mode, cfg.Procs)
+	}
 	return nil
 }
 

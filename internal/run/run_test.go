@@ -1,6 +1,7 @@
 package run
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -8,6 +9,8 @@ import (
 	"specrt/internal/directory"
 	"specrt/internal/interconnect"
 	"specrt/internal/lrpd"
+	"specrt/internal/mem"
+	"specrt/internal/policy"
 	"specrt/internal/sched"
 )
 
@@ -804,4 +807,52 @@ func TestWideBitStorageOnDemand(t *testing.T) {
 	if bits > perFrame/100 || bits > 1<<20 {
 		t.Fatalf("access-bit storage %d B, want under 1%% of %d B and under 1 MB", bits, perFrame)
 	}
+}
+
+// A privatized array sized so that its per-processor copies pass the
+// caches' address bound only at directory.MaxProcs: Validate rejects that
+// machine with an error naming the bound, laying the space out on a
+// scratch space without allocating anything per element, and accepts
+// one processor fewer.
+func TestAddressBoundAtMaxProcs(t *testing.T) {
+	l1, _ := cacheConfigs(Config{})
+	limit := l1.MaxAddr()
+	pages := int(limit / mem.PageSize)
+	// At n processors HW lays out 1 + plain + (n+1)*priv pages (page 0
+	// is never allocated); at MaxProcs that is one page over.
+	priv := (pages - 1) / (directory.MaxProcs + 1)
+	plain := pages - (directory.MaxProcs+1)*priv
+	w := indepLoop(core.Priv, 8, 8, 1)
+	w.Arrays = []ArraySpec{
+		{Name: "V", Elems: priv * mem.PageSize / 4, ElemSize: 4, Test: core.Priv},
+		{Name: "P", Elems: plain * mem.PageSize / 4, ElemSize: 4},
+	}
+	sp := mem.NewSpace(directory.MaxProcs)
+	if _, fits := layoutSpace(sp, w, cfgFor(HW, directory.MaxProcs), directory.MaxProcs, limit); fits || sp.TotalBytes() != limit+mem.PageSize {
+		t.Fatalf("layout at %d processors = %d bytes (fits %v), want one page over %d", directory.MaxProcs, sp.TotalBytes(), fits, limit)
+	}
+	want := fmt.Sprintf("%d GB address bound", limit>>30)
+	bound := func(cfg Config) {
+		t.Helper()
+		err := Validate(w, cfg)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%v at %d processors: Validate = %v, want the %s", cfg.Mode, cfg.Procs, err, want)
+		}
+	}
+	bound(cfgFor(HW, directory.MaxProcs))
+	bound(cfgFor(SW, directory.MaxProcs))
+	for _, cfg := range []Config{cfgFor(HW, directory.MaxProcs-1), cfgFor(Serial, directory.MaxProcs), cfgFor(Ideal, directory.MaxProcs)} {
+		if err := Validate(w, cfg); err != nil {
+			t.Fatalf("%v at %d processors rejected: %v", cfg.Mode, cfg.Procs, err)
+		}
+	}
+	// An adaptive run may pick any strategy: declared non-privatized, the
+	// array fits HW at MaxProcs, but its privatizing variant does not.
+	w.Arrays[0].Test = core.NonPriv
+	if err := Validate(w, cfgFor(HW, directory.MaxProcs)); err != nil {
+		t.Fatalf("non-privatized at %d processors rejected: %v", directory.MaxProcs, err)
+	}
+	adaptive := cfgFor(HW, directory.MaxProcs)
+	adaptive.Policy = policy.Adaptive
+	bound(adaptive)
 }

@@ -2,6 +2,7 @@ package run
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"specrt/internal/arena"
@@ -98,11 +99,17 @@ func cacheConfigs(cfg Config) (l1, l2 cache.Config) {
 	return l1, l2
 }
 
-func newSession(w *Workload, cfg Config) *session {
-	procs := cfg.Procs
+// sessionProcs returns the processors a session for cfg simulates: a
+// serial run uses one.
+func sessionProcs(cfg Config) int {
 	if cfg.Mode == Serial {
-		procs = 1
+		return 1
 	}
+	return cfg.Procs
+}
+
+func newSession(w *Workload, cfg Config) *session {
+	procs := sessionProcs(cfg)
 	mcfg := machine.DefaultConfig(procs)
 	mcfg.Contention = cfg.Contention
 	mcfg.StallWrites = cfg.StallWrites
@@ -121,13 +128,10 @@ func newSession(w *Workload, cfg Config) *session {
 		s.procIDs = append(s.procIDs, p)
 	}
 
-	place := cfg.Placement
-	if cfg.Mode == Serial {
-		place = mem.Local
-	}
-	for _, a := range w.Arrays {
-		s.shared = append(s.shared, m.Space.Alloc(a.Name, a.Elems, a.ElemSize, place, 0))
-	}
+	// validate laid the same space out and found that it fits.
+	l, _ := layoutSpace(m.Space, w, cfg, procs, math.MaxUint64)
+	s.shared, s.backups = l.shared, l.backups
+	s.swRd, s.swWr, s.swPriv, s.swGlobal = l.swRd, l.swWr, l.swPriv, l.swGlobal
 
 	if cfg.Mode == HW {
 		s.ctl = core.NewController(m)
@@ -137,7 +141,7 @@ func newSession(w *Workload, cfg Config) *session {
 			case core.NonPriv:
 				s.hwArrays = append(s.hwArrays, s.ctl.AddNonPriv(s.shared[i]))
 			case core.Priv:
-				s.hwArrays = append(s.hwArrays, s.ctl.AddPriv(s.shared[i], a.RICO))
+				s.hwArrays = append(s.hwArrays, s.ctl.AddPriv(s.shared[i], l.hwPriv[i], a.RICO))
 			default:
 				s.hwArrays = append(s.hwArrays, nil)
 			}
@@ -154,19 +158,11 @@ func newSession(w *Workload, cfg Config) *session {
 	s.sys.FastPath = !cfg.NoFastPath && !cfg.CheckInvariants
 	s.sys.SetBarrier(phaseBarrier, procs)
 
-	// Backup copies for arrays modified in place by the speculative
-	// execution (non-privatized arrays under test).
 	if cfg.Mode == SW || cfg.Mode == HW {
 		s.sparseSaved = make([]*arena.Bits, len(w.Arrays))
 		for i, a := range w.Arrays {
-			if a.Test == core.NonPriv {
-				s.backups = append(s.backups,
-					m.Space.Alloc(a.Name+".bak", a.Elems, a.ElemSize, mem.RoundRobin, 0))
-				if a.SparseBackup {
-					s.sparseSaved[i] = arena.NewBits(a.Elems)
-				}
-			} else {
-				s.backups = append(s.backups, mem.Region{})
+			if a.Test == core.NonPriv && a.SparseBackup {
+				s.sparseSaved[i] = arena.NewBits(a.Elems)
 			}
 		}
 	}
@@ -177,18 +173,106 @@ func newSession(w *Workload, cfg Config) *session {
 	return s
 }
 
+// spaceLayout holds the regions of a session's simulated address
+// space, indexed like w.Arrays; an array the mode gives no such region
+// has a zero Region or a nil slice there.
+type spaceLayout struct {
+	shared []mem.Region
+	// hwPriv: under HW, one private copy per processor of each
+	// privatized array.
+	hwPriv [][]mem.Region
+	// backups: under SW and HW, the .bak copy of each non-privatized
+	// array under test, which the speculative execution modifies in
+	// place.
+	backups []mem.Region
+	// swRd, swWr, swPriv and swGlobal: under SW, each processor's read
+	// and write shadows and private copy, and the global shadow.
+	swRd, swWr, swPriv [][]mem.Region
+	swGlobal           []mem.Region
+}
+
+// layoutSpace lays out on sp, in address order, every region a session
+// for w under cfg uses on procs processors, and reports whether the
+// space stays within limit bytes. It is the one description of that
+// layout: newSession allocates from it and validate checks it against
+// the caches' address bound on a scratch space. It stops at the first
+// step that passes limit, so an oversized workload costs little to
+// reject and no size computation overflows.
+func layoutSpace(sp *mem.Space, w *Workload, cfg Config, procs int, limit uint64) (l spaceLayout, fits bool) {
+	n := len(w.Arrays)
+	over := func() bool { return sp.TotalBytes() > limit }
+	place := cfg.Placement
+	if cfg.Mode == Serial {
+		place = mem.Local
+	}
+	l.shared = make([]mem.Region, n)
+	for i, a := range w.Arrays {
+		if uint64(a.Elems) > limit {
+			return l, false // its byte size could overflow
+		}
+		l.shared[i] = sp.Alloc(a.Name, a.Elems, a.ElemSize, place, 0)
+		if over() {
+			return l, false
+		}
+	}
+	if cfg.Mode == HW {
+		l.hwPriv = make([][]mem.Region, n)
+		for i, a := range w.Arrays {
+			if a.Test == core.Priv {
+				l.hwPriv[i] = core.PrivCopies(sp, l.shared[i], procs)
+				if over() {
+					return l, false
+				}
+			}
+		}
+	}
+	if cfg.Mode == SW || cfg.Mode == HW {
+		l.backups = make([]mem.Region, n)
+		for i, a := range w.Arrays {
+			if a.Test == core.NonPriv {
+				l.backups[i] = sp.Alloc(a.Name+".bak", a.Elems, a.ElemSize, mem.RoundRobin, 0)
+				if over() {
+					return l, false
+				}
+			}
+		}
+	}
+	if cfg.Mode == SW {
+		l.swRd, l.swWr, l.swPriv = make([][]mem.Region, n), make([][]mem.Region, n), make([][]mem.Region, n)
+		l.swGlobal = make([]mem.Region, n)
+		for i, a := range w.Arrays {
+			if a.Test == core.Plain {
+				continue
+			}
+			ne := shadowElems(w, a.Elems)
+			for p := 0; p < procs; p++ {
+				l.swRd[i] = append(l.swRd[i], sp.Alloc(nameP(a.Name, "rdsh", p), ne, 4, mem.Local, p))
+				l.swWr[i] = append(l.swWr[i], sp.Alloc(nameP(a.Name, "wrsh", p), ne, 4, mem.Local, p))
+				if a.Test == core.Priv {
+					l.swPriv[i] = append(l.swPriv[i], sp.Alloc(nameP(a.Name, "priv", p), a.Elems, a.ElemSize, mem.Local, p))
+				}
+			}
+			l.swGlobal[i] = sp.Alloc(a.Name+".gsh", ne, 4, mem.RoundRobin, 0)
+			if over() {
+				return l, false
+			}
+		}
+	}
+	return l, true
+}
+
 // shadowElems returns the shadow-array length for an array of n elements:
 // iteration stamps need one word per element; the processor-wise test
 // packs one bit per element into words (§2.2.3).
-func (s *session) shadowElems(n int) int {
-	if s.w.SWProcWise {
+func shadowElems(w *Workload, n int) int {
+	if w.SWProcWise {
 		return (n + 31) / 32
 	}
 	return n
 }
 
 func (s *session) setupSW() {
-	w, m := s.w, s.m
+	w := s.w
 	s.swTouched = make([]*arena.Bits, len(w.Arrays))
 	s.swLines = make([]*arena.Bits, len(w.Arrays))
 	s.swLineCount = make([]int, len(w.Arrays))
@@ -199,31 +283,17 @@ func (s *session) setupSW() {
 	}
 	s.pwBuf = getOpBuf()
 	for i, a := range w.Arrays {
-		var rd, wr, priv []mem.Region
-		if a.Test != core.Plain {
-			ne := s.shadowElems(a.Elems)
-			for p := 0; p < s.procs; p++ {
-				rd = append(rd, m.Space.Alloc(nameP(a.Name, "rdsh", p), ne, 4, mem.Local, p))
-				wr = append(wr, m.Space.Alloc(nameP(a.Name, "wrsh", p), ne, 4, mem.Local, p))
-				if a.Test == core.Priv {
-					priv = append(priv, m.Space.Alloc(nameP(a.Name, "priv", p), a.Elems, a.ElemSize, mem.Local, p))
-				}
-			}
-			g := m.Space.Alloc(a.Name+".gsh", ne, 4, mem.RoundRobin, 0)
-			s.swGlobal = append(s.swGlobal, g)
-			lines := (ne + s.elemsPerLine(g) - 1) / s.elemsPerLine(g)
-			s.swLineCount[i] = lines
-			s.swLines[i] = arena.NewBits(s.procs * lines)
-			s.swShadows[i] = lrpd.GetShadows(a.Elems)
-			if a.Test == core.Priv {
-				s.swTouched[i] = arena.NewBits(s.procs * a.Elems)
-			}
-		} else {
-			s.swGlobal = append(s.swGlobal, mem.Region{})
+		if a.Test == core.Plain {
+			continue
 		}
-		s.swRd = append(s.swRd, rd)
-		s.swWr = append(s.swWr, wr)
-		s.swPriv = append(s.swPriv, priv)
+		g := s.swGlobal[i]
+		lines := (g.Elems + s.elemsPerLine(g) - 1) / s.elemsPerLine(g)
+		s.swLineCount[i] = lines
+		s.swLines[i] = arena.NewBits(s.procs * lines)
+		s.swShadows[i] = lrpd.GetShadows(a.Elems)
+		if a.Test == core.Priv {
+			s.swTouched[i] = arena.NewBits(s.procs * a.Elems)
+		}
 	}
 }
 

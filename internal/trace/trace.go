@@ -187,5 +187,12 @@ func Build(f *File) (*run.Workload, error) {
 	if f.SWProcWise {
 		w.SWSched = sched.Config{Kind: sched.Static}
 	}
+	// A trace must run in every mode on two processors, the smallest
+	// parallel machine. SW lays out the most simulated memory there (the
+	// arrays, their backups, private copies and shadows), so its layout
+	// is the one checked against the caches' address bound.
+	if err := run.Validate(w, run.Config{Procs: 2, Mode: run.SW}); err != nil {
+		return nil, fmt.Errorf("trace: %w", err)
+	}
 	return w, nil
 }

@@ -1,10 +1,13 @@
 package trace
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"specrt/internal/core"
+	"specrt/internal/machine"
+	"specrt/internal/mem"
 	"specrt/internal/run"
 	"specrt/internal/sched"
 )
@@ -128,5 +131,28 @@ func TestDetectsDependenceFromTrace(t *testing.T) {
 	r := run.MustExecute(w, run.Config{Procs: 2, Mode: run.HW, Contention: true})
 	if r.Failures != 1 {
 		t.Fatal("dependence in trace not detected")
+	}
+}
+
+// A trace must fit under the caches' address bound on two processors in
+// every mode. A plain array is laid out once: one that ends exactly at
+// the bound (the address space starts one page up) parses, and one a line
+// longer is an error naming the bound. A non-privatized array also gets
+// a backup and two processors' shadows under SW, so half the bound is
+// already too much. None is executed.
+func TestParseAddressBound(t *testing.T) {
+	limit := machine.DefaultConfig(2).L1.MaxAddr()
+	want := fmt.Sprintf("%d GB address bound", limit>>30)
+	doc := func(bytes uint64, test string) string {
+		return fmt.Sprintf(`{"arrays":[{"elems":%d,"elemSize":4,"test":%q}],"iterations":[[]]}`, bytes/4, test)
+	}
+	fits := limit - mem.PageSize
+	if _, err := Parse(strings.NewReader(doc(fits, "plain"))); err != nil {
+		t.Fatalf("array ending at the bound rejected: %v", err)
+	}
+	for _, d := range []string{doc(fits+64, "plain"), doc(limit/2, "nonpriv")} {
+		if _, err := Parse(strings.NewReader(d)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: Parse = %v, want the %s", d, err, want)
+		}
 	}
 }
