@@ -292,25 +292,12 @@ func (c *Cache) Lookup(a mem.Addr) *Frame {
 }
 
 // SetOccupant returns the frame a's set currently holds, whatever line
-// it caches, or nil when the frame is empty. It is a classify-without-
-// performing probe: the execution fast path asks what Install would
-// displace before deciding whether an access is locally deterministic,
-// without touching statistics or state.
+// it caches, or nil when the frame is empty: the line Install would
+// displace, asked without touching statistics or state.
 func (c *Cache) SetOccupant(a mem.Addr) *Frame {
 	fr := &c.frames[c.set(c.lineNum(a))]
 	if fr.tag == 0 {
 		return nil
-	}
-	return fr
-}
-
-// Probe is Lookup plus hit/miss accounting.
-func (c *Cache) Probe(a mem.Addr) *Frame {
-	fr := c.Lookup(a)
-	if fr != nil {
-		c.Stats.Hits++
-	} else {
-		c.Stats.Misses++
 	}
 	return fr
 }

@@ -20,6 +20,7 @@ import (
 
 	"specrt/internal/abits"
 	"specrt/internal/arena"
+	"specrt/internal/cache"
 	"specrt/internal/machine"
 	"specrt/internal/mem"
 	"specrt/internal/sim"
@@ -422,12 +423,8 @@ func (c *Controller) Read(p int, a mem.Addr) (sim.Time, error) {
 	if arr == nil {
 		return c.M.Read(p, a), nil
 	}
-	switch arr.Proto {
-	case NonPriv:
-		return c.npRead(arr, p, a)
-	default:
-		return c.pvRead(arr, p, a)
-	}
+	lat, _, err := c.access(arr, p, a, false, false)
+	return lat, err
 }
 
 // Write performs a store by processor p to address a under the selected
@@ -438,12 +435,47 @@ func (c *Controller) Write(p int, a mem.Addr) (sim.Time, error) {
 	if arr == nil {
 		return c.M.Write(p, a), nil
 	}
-	switch arr.Proto {
-	case NonPriv:
-		return c.npWrite(arr, p, a)
-	default:
-		return c.pvWrite(arr, p, a)
+	lat, _, err := c.access(arr, p, a, true, false)
+	return lat, err
+}
+
+// TryRead performs a read only when it is a pure hit, for the execution
+// fast path (internal/cpu): one that hits in p's own hierarchy, neither
+// fails nor sends a message to a directory, and whose latency does not
+// depend on the simulated time. It may still flip tag bits or update p's
+// private directory, local effects the stepped path makes identically.
+// ok=false performs and counts nothing.
+func (c *Controller) TryRead(p int, a mem.Addr) (sim.Time, bool) {
+	arr := c.lookupArmed(a)
+	if arr == nil {
+		return c.M.TryFastRead(p, a)
 	}
+	lat, ok, _ := c.access(arr, p, a, false, true)
+	return lat, ok
+}
+
+// TryWrite is TryRead's store counterpart.
+func (c *Controller) TryWrite(p int, a mem.Addr) (sim.Time, bool) {
+	arr := c.lookupArmed(a)
+	if arr == nil {
+		return c.M.TryFastWrite(p, a)
+	}
+	lat, ok, _ := c.access(arr, p, a, true, true)
+	return lat, ok
+}
+
+// access dispatches an access to an armed array to its protocol. A pure
+// access never fails: a hit that would is not pure.
+func (c *Controller) access(arr *Array, p int, a mem.Addr, write, pure bool) (sim.Time, bool, error) {
+	switch {
+	case arr.Proto == NonPriv && write:
+		return c.npWrite(arr, p, a, pure)
+	case arr.Proto == NonPriv:
+		return c.npRead(arr, p, a, pure)
+	case write:
+		return c.pvWrite(arr, p, a, pure)
+	}
+	return c.pvRead(arr, p, a, pure)
 }
 
 func (c *Controller) lookupArmed(a mem.Addr) *Array {
@@ -487,6 +519,18 @@ func elemsInLine(r mem.Region, line mem.Addr, lineBytes int) (lo, hi int) {
 		hi = r.Elems
 	}
 	return lo, hi
+}
+
+// wordOf returns access-bit word wi of the line in fr, a frame of cc, as
+// Machine.Lookup found it: zero on a miss and while the line carries no
+// bits, as EnsureBits would hand it out.
+func wordOf(cc *cache.Cache, fr *cache.Frame, wi int) abits.Word {
+	if fr != nil {
+		if bits := cc.Bits(fr); bits != nil {
+			return bits[wi]
+		}
+	}
+	return 0
 }
 
 // wordIndexOf returns the access-bit word index of element e of r within

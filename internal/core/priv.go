@@ -17,22 +17,31 @@ import (
 // start of each iteration.
 
 // pvRead implements "Processor read" (Figure 8-(a)) with the private-
-// directory read path (Figure 8-(c)) on a miss, including read-in.
-func (c *Controller) pvRead(arr *Array, p int, a mem.Addr) (sim.Time, error) {
-	c.Stats.PrivReads++
+// directory read path (Figure 8-(c)) on a miss, including read-in. A hit
+// is pure once the word is marked Read1st or Write in this iteration;
+// the first touch of an iteration signals the directory. Under pure,
+// anything else returns ok=false before its first side effect.
+func (c *Controller) pvRead(arr *Array, p int, a mem.Addr, pure bool) (sim.Time, bool, error) {
 	e := arr.Region.ElemIndex(a)
 	iter := c.curIter[p]
 	priv := arr.Priv[p]
 	pa := priv.ElemAddr(e)
 	wi := wordIndexOf(priv, e, c.M.LineBytes())
 
-	if fr, lat, hit := c.M.Probe(p, pa); hit {
-		bits := c.M.Procs[p].L1.EnsureBits(fr)
-		w := bits[wi]
-		if !w.Read1st() && !w.Write() {
+	fr, cc := c.M.Lookup(p, pa, pure)
+	w := wordOf(cc, fr, wi)
+	first := !w.Read1st() && !w.Write()
+	if pure && (fr == nil || first) {
+		return 0, false, nil
+	}
+	c.Stats.PrivReads++
+	if fr, lat := c.M.Take(p, pa, fr, cc); fr != nil {
+		if first {
 			// Read-first in this iteration: mark the tag and signal
 			// the private directory (Figure 8-(b)), which forwards a
-			// read-first signal to the shared directory (8-(d)).
+			// read-first signal to the shared directory (8-(d)). Any
+			// other hit found a word set, so its line has bits.
+			bits := c.M.Procs[p].L1.EnsureBits(fr)
 			bits[wi] = w.WithRead1st(true)
 			if fr.State() != cache.Dirty {
 				c.M.SyncBitsToL2(p, pa, bits)
@@ -40,7 +49,7 @@ func (c *Controller) pvRead(arr *Array, p int, a mem.Addr) (sim.Time, error) {
 			arr.pMaxR1st.Set(arr.pIdx(p, e), iter)
 			c.sendReadFirst(arr, p, e, iter)
 		}
-		return lat, nil
+		return lat, true, nil
 	}
 
 	// Miss: the private directory services the read request
@@ -82,14 +91,16 @@ func (c *Controller) pvRead(arr *Array, p int, a mem.Addr) (sim.Time, error) {
 	if readIn {
 		lat += c.M.ChargeHomeTransfer(p, arr.Region.ElemAddr(e))
 	}
-	return lat, err
+	return lat, true, err
 }
 
 // pvWrite implements "Processor write" (Figure 9-(f)) with the private-
 // directory write path (Figure 9-(h)) on a miss, including read-in for
-// write.
-func (c *Controller) pvWrite(arr *Array, p int, a mem.Addr) (sim.Time, error) {
-	c.Stats.PrivWrites++
+// write. A dirty hit is pure unless it is the processor's very first
+// write to the element (pMaxW still zero with no completed-epoch write),
+// which sends a first-write signal to the shared directory. Under pure,
+// anything else returns ok=false before its first side effect.
+func (c *Controller) pvWrite(arr *Array, p int, a mem.Addr, pure bool) (sim.Time, bool, error) {
 	e := arr.Region.ElemIndex(a)
 	iter := c.curIter[p]
 	priv := arr.Priv[p]
@@ -97,26 +108,33 @@ func (c *Controller) pvWrite(arr *Array, p int, a mem.Addr) (sim.Time, error) {
 	wi := wordIndexOf(priv, e, c.M.LineBytes())
 	procLat := c.M.Cfg.Lat.L1Hit
 
-	if fr, _, hit := c.M.Probe(p, pa); hit {
+	fr, cc := c.M.Lookup(p, pa, pure)
+	w := wordOf(cc, fr, wi)
+	if pure && (fr == nil || fr.State() != cache.Dirty ||
+		!w.Write() && arr.pMaxW.Get(arr.pIdx(p, e)) == 0 && !arr.pvWroteEver(p, e)) {
+		return 0, false, nil
+	}
+	c.Stats.PrivWrites++
+	if fr, _ := c.M.Take(p, pa, fr, cc); fr != nil {
 		if fr.State() == cache.Clean {
 			// Plain upgrade of the private line; the private copy has
 			// no other sharers, so this cannot fail.
 			lat, err := c.M.FetchWrite(p, pa, nil)
 			procLat = c.M.WriteProcLatency(lat)
 			if err != nil {
-				return procLat, err
+				return procLat, true, err
 			}
 			fr = c.M.Procs[p].L1.Lookup(c.M.LineAddr(pa))
 		}
-		bits := c.M.Procs[p].L1.EnsureBits(fr)
-		w := bits[wi]
 		if !w.Write() {
 			// First write to the element in this iteration: signal
-			// the private directory (Figure 9-(g)).
+			// the private directory (Figure 9-(g)). The upgrade kept
+			// the line's bits; a set word means the line has them.
+			bits := c.M.Procs[p].L1.EnsureBits(fr)
 			bits[wi] = w.WithWrite(true)
 			c.pvPrivateFirstWrite(arr, p, e, iter)
 		}
-		return procLat, nil
+		return procLat, true, nil
 	}
 
 	// Miss: the private directory services the write request
@@ -162,8 +180,7 @@ func (c *Controller) pvWrite(arr *Array, p int, a mem.Addr) (sim.Time, error) {
 	if readIn {
 		c.M.ChargeHomeTransfer(p, arr.Region.ElemAddr(e))
 	}
-	procLat = c.M.WriteProcLatency(wlat)
-	return procLat, err
+	return c.M.WriteProcLatency(wlat), true, err
 }
 
 // pvPrivateFirstWrite is the private directory's first-write handler

@@ -179,8 +179,8 @@ type System struct {
 	Costs SyncCosts
 
 	// FastPath enables local-horizon batched execution: runs of compute
-	// and classified-pure cache hits execute inline in one event instead
-	// of one event each. The horizon rules in fuse() make the fused
+	// and pure cache hits execute inline in one event instead of one
+	// event each. The horizon rules in fuse() make the fused
 	// schedule cycle-exact with per-instruction stepping, so results are
 	// byte-identical either way; the run layer turns it off for
 	// invariant-checked executions and via run.Config.NoFastPath, and it
@@ -365,8 +365,9 @@ func (s *System) step(p *Proc) {
 // between the fused run and the single follow-up step scheduled at its
 // end, where the stepped schedule would also have put it. Cycle
 // accounting per instruction is byte-for-byte the stepped arithmetic,
-// and the accesses themselves are performed through the normal
-// read/write entry points, so stats and tag-bit state match too.
+// and a fused access runs the same hit arm as a stepped one (the
+// protocol's access function, stopping before its first side effect
+// when the arm is not pure), so stats and tag-bit state match too.
 func (s *System) fuse(p *Proc, first Instr) bool {
 	eng := s.M.Eng
 	limit, bounded := eng.PeekTime()
@@ -374,7 +375,7 @@ func (s *System) fuse(p *Proc, first Instr) bool {
 	if bounded && limit-end < 2 {
 		// Another event is due within a cycle (processors running in
 		// lockstep): no second instruction can fit before the limit, so a
-		// fused run would hold exactly one instruction — all classification
+		// fused run would hold exactly one instruction — all fusing
 		// overhead, no saved events. Step instead.
 		return false
 	}
@@ -404,8 +405,7 @@ func (s *System) fuse(p *Proc, first Instr) bool {
 	return true
 }
 
-// fuseOne classifies one instruction and, if it is locally deterministic,
-// performs it inline, returning the latency to advance the virtual clock
+// fuseOne performs one instruction inline if it is locally deterministic, returning the latency to advance the virtual clock
 // by. ok=false leaves the instruction unperformed and uncounted.
 func (s *System) fuseOne(p *Proc, in Instr) (sim.Time, bool) {
 	switch in.Kind {
@@ -446,8 +446,9 @@ func (s *System) accountMem(p *Proc, lat sim.Time) {
 	p.B.Mem += lat - busy
 }
 
-// tryRead/tryWrite classify-and-perform an access in one pass for the
-// fast path, dispatching to the armed controller or the plain machine.
+// tryRead/tryWrite perform an access for the fast path only when it is
+// a pure hit, through the controller or the plain machine; ok=false
+// leaves it unperformed for the stepped path.
 func (s *System) tryRead(p int, a mem.Addr) (sim.Time, bool) {
 	if s.Ctl != nil {
 		return s.Ctl.TryRead(p, a)

@@ -6,7 +6,7 @@
 // serialize at its home directory.
 //
 // The package implements the *plain* coherence protocol and exposes the
-// transaction skeleton (Probe, FetchRead, FetchWrite, SendToHome,
+// transaction skeleton (Lookup, Take, FetchRead, FetchWrite, SendToHome,
 // SendToProc) that package core composes into the paper's speculation
 // protocols. Access bits travel with lines on fills and writebacks; the
 // plain protocol ignores them.
