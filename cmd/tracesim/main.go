@@ -79,14 +79,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	modeByName := map[string]run.Mode{
-		"serial": run.Serial, "ideal": run.Ideal, "sw": run.SW, "hw": run.HW,
-	}
 	var modes []run.Mode
 	for _, name := range strings.Split(*modesFlag, ",") {
-		m, ok := modeByName[strings.ToLower(strings.TrimSpace(name))]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "tracesim: unknown mode %q\n", name)
+		m, err := run.ModeByName(strings.ToLower(strings.TrimSpace(name)))
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "tracesim:", err)
 			os.Exit(2)
 		}
 		modes = append(modes, m)

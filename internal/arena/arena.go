@@ -56,47 +56,6 @@ func (s *I32) Reset() {
 	}
 }
 
-// I64 is I32's wide sibling: a flat int64 table with an epoch-tagged
-// O(1) Reset, for accumulators that outgrow 31 bits (cycle counts,
-// copy-out volumes in the policy history table).
-type I64 struct {
-	v   []int64
-	tag []uint32
-	cur uint32
-	def int64
-}
-
-// NewI64 returns a table of n slots, all reading as def.
-func NewI64(n int, def int64) *I64 {
-	return &I64{v: make([]int64, n), tag: make([]uint32, n), cur: 1, def: def}
-}
-
-// Len returns the number of slots.
-func (s *I64) Len() int { return len(s.v) }
-
-// Get returns slot i, or the default if it was not set this epoch.
-func (s *I64) Get(i int) int64 {
-	if s.tag[i] != s.cur {
-		return s.def
-	}
-	return s.v[i]
-}
-
-// Set writes slot i for the current epoch.
-func (s *I64) Set(i int, x int64) {
-	s.v[i] = x
-	s.tag[i] = s.cur
-}
-
-// Reset invalidates every slot in O(1) by advancing the epoch.
-func (s *I64) Reset() {
-	s.cur++
-	if s.cur == 0 {
-		clear(s.tag)
-		s.cur = 1
-	}
-}
-
 // Bits is a flat bitset with an epoch-tagged O(1) Reset. The epoch tag
 // is kept per 64-bit word, so Set lazily zeroes at most one word.
 type Bits struct {

@@ -311,41 +311,6 @@ func TestSizePool(t *testing.T) {
 	}
 }
 
-func TestI64EpochReset(t *testing.T) {
-	s := NewI64(8, -1)
-	if s.Len() != 8 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-	if s.Get(3) != -1 {
-		t.Fatalf("fresh slot = %d, want default -1", s.Get(3))
-	}
-	s.Set(3, 1<<40)
-	if s.Get(3) != 1<<40 {
-		t.Fatalf("Get = %d", s.Get(3))
-	}
-	s.Reset()
-	if s.Get(3) != -1 {
-		t.Fatalf("slot survived Reset: %d", s.Get(3))
-	}
-	s.Set(3, 7)
-	if s.Get(3) != 7 || s.Get(2) != -1 {
-		t.Fatalf("post-reset values wrong: %d, %d", s.Get(3), s.Get(2))
-	}
-}
-
-func TestI64WrapGuard(t *testing.T) {
-	s := NewI64(2, 0)
-	s.cur = ^uint32(0) // next Reset wraps the epoch counter
-	s.Set(0, 42)
-	s.Reset()
-	if s.cur != 1 {
-		t.Fatalf("wrapped epoch = %d, want 1", s.cur)
-	}
-	if s.Get(0) != 0 {
-		t.Fatalf("stale tag aliased after wrap: %d", s.Get(0))
-	}
-}
-
 func TestBitsCount(t *testing.T) {
 	b := NewBits(200)
 	if b.Count() != 0 {

@@ -90,8 +90,8 @@ func ExploreOn(baseSeed uint64, seeds int, sc Scale, inject core.InjectedBug, to
 
 // ExploreAdaptive is ExploreOn with a policy director steering each
 // generated stream's protocol, mirroring the run layer's adaptive
-// dispatch: every replay's speculation outcome feeds a policy history
-// table, and when the director retreats from privatization the next
+// dispatch: every replay's speculation outcome feeds a policy.History,
+// and when the director retreats from privatization the next
 // privatization-capable stream is demoted to the non-privatization
 // protocol before replay (iteration numbers zeroed, read-in/copy-out
 // off — the same re-protocol rewrite run.strategyVariant performs).
@@ -109,11 +109,9 @@ func ExploreAdaptive(baseSeed uint64, seeds int, sc Scale, kind policy.DirectorK
 func explore(baseSeed uint64, seeds int, sc Scale, inject core.InjectedBug, topo interconnect.Kind, d policy.Director, progress func(done int, sum *Summary)) (*Summary, error) {
 	sum := &Summary{}
 	orders := make(map[uint64]struct{}, seeds)
-	var table *policy.Table
-	site := 0
+	var hist *policy.History
 	if d != nil {
-		table = policy.NewTable(1)
-		site = table.Site("fuzz")
+		hist = policy.NewHistory(0)
 	}
 	var s *Stream
 	for i := 0; sum.DistinctOrders < seeds && i < 3*seeds; i++ {
@@ -121,7 +119,7 @@ func explore(baseSeed uint64, seeds int, sc Scale, inject core.InjectedBug, topo
 			s = Generate(baseSeed+uint64(i/OrdersPerStream), sc)
 			sum.Streams++
 			if d != nil && s.Priv {
-				if dec := d.Decide(table.History(site)); dec.Strategy != policy.HWPriv {
+				if dec := d.Decide(hist); dec.Strategy != policy.HWPriv {
 					s.demoteToNonPriv()
 				}
 			}
@@ -138,12 +136,12 @@ func explore(baseSeed uint64, seeds int, sc Scale, inject core.InjectedBug, topo
 		if rep.HWFailed && !rep.OracleMismatch() {
 			sum.HWFailures++
 		}
-		if table != nil {
+		if hist != nil {
 			strat := policy.HWNonPriv
 			if s.Priv {
 				strat = policy.HWPriv
 			}
-			table.Record(site, policy.Outcome{
+			hist.Record(policy.Outcome{
 				Strategy: strat, Failed: rep.HWFailed, Cycles: int64(rep.Transactions),
 			})
 		}

@@ -22,7 +22,6 @@ package directory
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"specrt/internal/mem"
 )
@@ -78,34 +77,17 @@ type Table struct {
 	entries []Entry
 }
 
-// tablePool recycles table storage across machines. Epoch tagging makes
-// reuse safe without wiping: a recycled table advances its epoch, so
-// every entry of the previous owner reads as absent.
-var tablePool sync.Pool
-
 // NewTable creates an empty table for the given power-of-two line size,
 // sized for a machine of procs processors with the given sharer-set
-// representation, reusing pooled storage when available.
+// representation.
 func NewTable(lineBytes, procs int, mode Mode) *Table {
 	if lineBytes <= 0 || lineBytes&(lineBytes-1) != 0 {
 		panic(fmt.Sprintf("directory: line size %d is not a power of two", lineBytes))
 	}
-	shift := uint(bits.TrailingZeros(uint(lineBytes)))
-	if v := tablePool.Get(); v != nil {
-		t := v.(*Table)
-		t.shift = shift
-		t.store.configure(mode, procs)
-		t.Reset()
-		return t
-	}
-	t := &Table{shift: shift, cur: 1}
+	t := &Table{shift: uint(bits.TrailingZeros(uint(lineBytes))), cur: 1}
 	t.store.configure(mode, procs)
 	return t
 }
-
-// Release hands the table's storage back to the pool. The table (and
-// every Directory view of it) must not be used afterwards.
-func (t *Table) Release() { tablePool.Put(t) }
 
 // Store returns the interpreter for this table's Sharers words.
 func (t *Table) Store() *Store { return &t.store }

@@ -114,9 +114,7 @@ type Store struct {
 	slabs *arena.Windows[uint64]
 }
 
-// configure shapes the store for a machine, retaining a compatible
-// window allocator across table recycling (the pool hands tables
-// between machines of different sizes).
+// configure shapes a fresh store for a machine of procs processors.
 func (st *Store) configure(mode Mode, procs int) {
 	if procs < 1 || procs > MaxProcs {
 		panic(fmt.Sprintf("directory: procs %d outside [1,%d]", procs, MaxProcs))
@@ -126,19 +124,12 @@ func (st *Store) configure(mode Mode, procs int) {
 	}
 	st.mode = mode
 	st.procs = procs
-	st.words = 0
-	st.group = 0
 	switch {
 	case mode == Coarse:
 		st.group = (procs + coarseGroups - 1) / coarseGroups
-		st.slabs = nil
 	case procs > 64:
 		st.words = (procs + 63) / 64
-		if st.slabs == nil || st.slabs.Width() != st.words {
-			st.slabs = arena.NewWindows[uint64](st.words)
-		}
-	default:
-		st.slabs = nil
+		st.slabs = arena.NewWindows[uint64](st.words)
 	}
 }
 

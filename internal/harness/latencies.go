@@ -23,7 +23,7 @@ func MeasureLatencies() []LatencyRow {
 	cfg := machine.DefaultConfig(4)
 	cfg.Contention = false
 	m := machine.MustNew(cfg)
-	defer m.Release() // hand caches and the directory table back to their pools
+	defer m.Release() // hand the caches' frames back to their pool
 	local := m.Space.Alloc("local", 1024, 4, mem.Local, 0)
 	remote := m.Space.Alloc("remote", 1024, 4, mem.Local, 1)
 	third := m.Space.Alloc("third", 1024, 4, mem.Local, 2)

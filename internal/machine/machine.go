@@ -365,17 +365,13 @@ func New(cfg Config) (*Machine, error) {
 	return m, nil
 }
 
-// Release returns the caches' frames and access-bit windows and the
-// directory table to their pools. The machine must not simulate afterwards; call it
-// once its final stats have been collected.
+// Release returns the caches' frames and access-bit windows to their
+// pool. The machine must not simulate afterwards; call it once its
+// final stats have been collected.
 func (m *Machine) Release() {
 	for _, p := range m.Procs {
 		p.L1.Release()
 		p.L2.Release()
-	}
-	if m.DirTable != nil {
-		m.DirTable.Release()
-		m.DirTable = nil
 	}
 }
 

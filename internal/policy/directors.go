@@ -1,12 +1,11 @@
 package policy
 
 // The three directors. All of them are stateless values whose Decide is
-// a pure function of the SiteHistory — determinism lives here, not in
-// the table.
+// a pure function of the History.
 
 // probePeriod is how often the learned directors re-test speculation
 // after retreating to serial: every probePeriod-th instance of a
-// zero-confidence site runs the preferred speculative strategy once.
+// zero-confidence loop runs the preferred speculative strategy once.
 // Too small and a never-parallel loop keeps paying failed speculation;
 // too large and a loop whose racy phase ends stays serial for longer.
 // 8 keeps the steady-state overhead on a never-parallel loop under the
@@ -26,11 +25,11 @@ type staticDirector struct{ d Decision }
 // decides d, ignoring history.
 func NewStatic(d Decision) Director { return staticDirector{d} }
 
-func (s staticDirector) Name() string                { return "static:" + s.d.Strategy.String() }
-func (s staticDirector) Decide(SiteHistory) Decision { return s.d }
+func (s staticDirector) Name() string             { return "static:" + s.d.Strategy.String() }
+func (s staticDirector) Decide(*History) Decision { return s.d }
 
 // thresholdDirector is the STU-style speculation ladder driven by the
-// table's MDPT-style saturating confidence counter:
+// history's MDPT-style saturating confidence counter:
 //
 //	Level 2 (conf >= 2): speculate under the preferred hardware
 //	        strategy at the workload's own chunking.
@@ -39,7 +38,7 @@ func (s staticDirector) Decide(SiteHistory) Decision { return s.d }
 //	        pairs for the processor-wise test to trip on and less
 //	        dispenser traffic, a hedge while confidence is shaky.
 //	Level 0 (conf == 0): run serially; every probePeriod-th instance
-//	        probes the preferred strategy once so the site can climb
+//	        probes the preferred strategy once so the loop can climb
 //	        back up when its racy phase ends.
 //
 // The preferred hardware strategy starts as non-privatization (cheaper:
@@ -54,7 +53,7 @@ func NewThreshold() Director { return thresholdDirector{} }
 
 func (thresholdDirector) Name() string { return "threshold" }
 
-func (thresholdDirector) Decide(h SiteHistory) Decision {
+func (thresholdDirector) Decide(h *History) Decision {
 	pref := preferredHW(h)
 	switch {
 	case h.Conf() >= 2:
@@ -72,7 +71,7 @@ func (thresholdDirector) Decide(h SiteHistory) Decision {
 // preferredHW picks between the two hardware strategies from failure
 // history: non-privatization until it has failed demoteFails times and
 // privatization is untried or failing at a lower rate.
-func preferredHW(h SiteHistory) Strategy {
+func preferredHW(h *History) Strategy {
 	fn, rn := h.Fails(HWNonPriv), h.Runs(HWNonPriv)
 	fp, rp := h.Fails(HWPriv), h.Runs(HWPriv)
 	if fn >= demoteFails {
@@ -100,7 +99,7 @@ func (costDirector) Name() string { return "cost" }
 // first (cheap failure detection), software LRPD next, serial last.
 var exploreOrder = []Strategy{HWNonPriv, HWPriv, SWLRPD, Serial}
 
-func (costDirector) Decide(h SiteHistory) Decision {
+func (costDirector) Decide(h *History) Decision {
 	for _, s := range exploreOrder {
 		if h.Runs(s) == 0 {
 			return Decision{Strategy: s}
@@ -118,7 +117,7 @@ func (costDirector) Decide(h SiteHistory) Decision {
 
 // argminCycles returns the candidate with the lowest predicted cycles;
 // ties break toward the earlier (cheaper-risk) candidate.
-func argminCycles(h SiteHistory, candidates []Strategy) Strategy {
+func argminCycles(h *History, candidates []Strategy) Strategy {
 	best, bestCycles := candidates[0], h.PredCycles(candidates[0])
 	for _, s := range candidates[1:] {
 		if c := h.PredCycles(s); c < bestCycles {

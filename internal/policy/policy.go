@@ -1,7 +1,7 @@
-// Package policy is the adaptive speculation layer: a per-loop-site
-// history table that records how past loop instances behaved under each
-// parallelization strategy, and pluggable directors that map that
-// history to the next instance's decision.
+// Package policy is the adaptive speculation layer: a loop's History of
+// how its past instances behaved under each parallelization strategy,
+// and pluggable directors that map that history to the next instance's
+// decision.
 //
 // The paper pays full speculation cost on every loop instance — the
 // scheme (serial, software LRPD, hardware non-privatization, hardware
@@ -35,7 +35,7 @@ const (
 	HWNonPriv
 	HWPriv
 
-	// NumStrategies sizes per-strategy tables.
+	// NumStrategies sizes per-strategy arrays.
 	NumStrategies = 4
 )
 
@@ -77,7 +77,7 @@ type Decision struct {
 }
 
 // Outcome is one completed loop instance's observation, recorded into
-// the history table.
+// its loop's History.
 type Outcome struct {
 	Strategy Strategy
 	// Failed reports that speculation failed (or raised an exception)
@@ -87,13 +87,6 @@ type Outcome struct {
 	// Cycles is the instance's total simulated time under the chosen
 	// strategy, failure handling included.
 	Cycles int64
-	// TouchedPermille is the fraction (in 1/1000ths) of the elements of
-	// the arrays under test this instance actually accessed — the §2's
-	// sparse-access signal.
-	TouchedPermille int
-	// CopyOutWords is the privatization copy-out volume the instance
-	// paid (hardware privatization only; zero elsewhere).
-	CopyOutWords int64
 }
 
 // Kind switches the policy layer on or off in run.Config. The zero
@@ -193,13 +186,13 @@ func (k *DirectorKind) UnmarshalText(b []byte) error {
 	return nil
 }
 
-// Director maps a loop site's history to the next instance's decision.
-// Decide must be a pure function of the history view — no randomness,
-// no wall clocks, no internal mutable state — so that adaptive runs
-// stay deterministic and cacheable.
+// Director maps a loop's history to the next instance's decision.
+// Decide must be a pure function of the history — it must not modify
+// it, and uses no randomness, no wall clocks and no internal mutable
+// state — so that adaptive runs stay deterministic and cacheable.
 type Director interface {
 	Name() string
-	Decide(h SiteHistory) Decision
+	Decide(h *History) Decision
 }
 
 // New builds the director a DirectorKind names. The static baseline

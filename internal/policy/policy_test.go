@@ -3,8 +3,8 @@ package policy
 import "testing"
 
 // record is a test helper: run strategy s once with the given result.
-func record(t *Table, site int, s Strategy, failed bool, cycles int64) {
-	t.Record(site, Outcome{Strategy: s, Failed: failed, Cycles: cycles})
+func record(h *History, s Strategy, failed bool, cycles int64) {
+	h.Record(Outcome{Strategy: s, Failed: failed, Cycles: cycles})
 }
 
 func TestNamesRoundTrip(t *testing.T) {
@@ -62,115 +62,56 @@ func TestKindTextMarshalling(t *testing.T) {
 	}
 }
 
-func TestTableRecordAndHistory(t *testing.T) {
-	tb := NewTable(1)
-	site := tb.Site("loop")
-	h := tb.History(site)
+func TestHistoryRecord(t *testing.T) {
+	h := NewHistory(0)
 	if h.Instances() != 0 || h.Conf() != ConfInit {
-		t.Fatalf("fresh site: instances=%d conf=%d", h.Instances(), h.Conf())
-	}
-	if _, ok := h.Last(); ok {
-		t.Fatal("fresh site reports a last strategy")
+		t.Fatalf("fresh history: instances=%d conf=%d", h.Instances(), h.Conf())
 	}
 
-	tb.Record(site, Outcome{Strategy: HWNonPriv, Cycles: 1000, TouchedPermille: 500, CopyOutWords: 0})
-	if h.Runs(HWNonPriv) != 1 || h.Fails(HWNonPriv) != 0 {
-		t.Fatalf("runs=%d fails=%d", h.Runs(HWNonPriv), h.Fails(HWNonPriv))
+	record(h, HWNonPriv, false, 1000)
+	if h.Runs(HWNonPriv) != 1 || h.Fails(HWNonPriv) != 0 || h.Instances() != 1 {
+		t.Fatalf("runs=%d fails=%d instances=%d", h.Runs(HWNonPriv), h.Fails(HWNonPriv), h.Instances())
 	}
 	if h.PredCycles(HWNonPriv) != 1000 {
 		t.Fatalf("first observation must seed the estimate, got %d", h.PredCycles(HWNonPriv))
-	}
-	if h.TouchedPermille() != 500 {
-		t.Fatalf("touched=%d", h.TouchedPermille())
-	}
-	if last, ok := h.Last(); !ok || last != HWNonPriv {
-		t.Fatalf("last=%v ok=%v", last, ok)
 	}
 	if h.Conf() != ConfMax {
 		t.Fatalf("success should saturate conf at %d, got %d", ConfMax, h.Conf())
 	}
 
 	// Nearby observation averages; far observation snaps.
-	record(tb, site, HWNonPriv, false, 1200)
+	record(h, HWNonPriv, false, 1200)
 	if got := h.PredCycles(HWNonPriv); got != 1100 {
 		t.Fatalf("average: got %d, want 1100", got)
 	}
-	record(tb, site, HWNonPriv, false, 9000)
+	record(h, HWNonPriv, false, 9000)
 	if got := h.PredCycles(HWNonPriv); got != 9000 {
 		t.Fatalf("snap on >2x move: got %d, want 9000", got)
 	}
 
 	// Failures knock confidence down two per failure.
-	record(tb, site, HWNonPriv, true, 9000)
+	record(h, HWNonPriv, true, 9000)
 	if h.Conf() != ConfMax-2 {
 		t.Fatalf("conf after one failure = %d, want %d", h.Conf(), ConfMax-2)
 	}
-	record(tb, site, HWNonPriv, true, 9000)
+	record(h, HWNonPriv, true, 9000)
 	if h.Conf() != 0 {
 		t.Fatalf("conf after two failures = %d, want 0", h.Conf())
 	}
 	if h.Fails(HWNonPriv) != 2 || h.Runs(HWNonPriv) != 5 {
 		t.Fatalf("fails=%d runs=%d", h.Fails(HWNonPriv), h.Runs(HWNonPriv))
 	}
-	if h.LastRun(HWNonPriv) != 4 || h.LastRun(Serial) != -1 {
-		t.Fatalf("lastRun: np=%d serial=%d", h.LastRun(HWNonPriv), h.LastRun(Serial))
-	}
-}
-
-func TestTableGrowPreservesHistory(t *testing.T) {
-	tb := NewTable(1)
-	first := tb.Site("first")
-	tb.SetBaseChunk(first, 8)
-	record(tb, first, HWPriv, false, 4200)
-	// Interning more sites than the capacity forces a grow.
-	for i := 0; i < 10; i++ {
-		tb.Site(string(rune('a' + i)))
-	}
-	h := tb.History(first)
-	if h.Runs(HWPriv) != 1 || h.PredCycles(HWPriv) != 4200 || h.BaseChunk() != 8 {
-		t.Fatalf("grow lost history: runs=%d cycles=%d base=%d",
-			h.Runs(HWPriv), h.PredCycles(HWPriv), h.BaseChunk())
-	}
-	if tb.Site("first") != first {
-		t.Fatal("grow changed the site index")
-	}
-	if tb.Name(first) != "first" || tb.Sites() != 11 {
-		t.Fatalf("names/sites wrong after grow: %q, %d", tb.Name(first), tb.Sites())
-	}
-}
-
-func TestTableReset(t *testing.T) {
-	tb := NewTable(2)
-	site := tb.Site("loop")
-	tb.SetBaseChunk(site, 4)
-	record(tb, site, Serial, false, 100)
-	record(tb, site, HWNonPriv, true, 900)
-	tb.Reset()
-	h := tb.History(site)
-	if h.Instances() != 0 || h.Runs(Serial) != 0 || h.Runs(HWNonPriv) != 0 {
-		t.Fatal("Reset left history behind")
-	}
-	if h.Conf() != ConfInit {
-		t.Fatalf("Reset conf = %d, want %d", h.Conf(), ConfInit)
-	}
-	if h.BaseChunk() != 4 {
-		t.Fatal("Reset dropped the base chunk (configuration, not history)")
-	}
-	if tb.Site("loop") != site {
-		t.Fatal("Reset dropped the site interning")
-	}
 }
 
 func TestStaticDirectorPins(t *testing.T) {
 	d := NewStatic(Decision{Strategy: SWLRPD})
-	tb := NewTable(1)
-	site := tb.Site("loop")
+	h := NewHistory(0)
 	for i := 0; i < 5; i++ {
-		dec := d.Decide(tb.History(site))
+		dec := d.Decide(h)
 		if dec.Strategy != SWLRPD || dec.Chunk != 0 {
 			t.Fatalf("instance %d: static decided %+v", i, dec)
 		}
-		record(tb, site, dec.Strategy, i%2 == 0, 1000)
+		record(h, dec.Strategy, i%2 == 0, 1000)
 	}
 	if d.Name() != "static:sw-lrpd" {
 		t.Fatalf("name = %q", d.Name())
@@ -179,10 +120,7 @@ func TestStaticDirectorPins(t *testing.T) {
 
 func TestThresholdLadder(t *testing.T) {
 	d := NewThreshold()
-	tb := NewTable(1)
-	site := tb.Site("loop")
-	tb.SetBaseChunk(site, 4)
-	h := tb.History(site)
+	h := NewHistory(4)
 
 	// Fresh site (conf 2): Level 2, speculate at default chunking.
 	if dec := d.Decide(h); dec.Strategy != HWNonPriv || dec.Chunk != 0 {
@@ -192,24 +130,24 @@ func TestThresholdLadder(t *testing.T) {
 	// One failure drops to conf 0 from init 2: Level 0, serial. Serial
 	// successes must NOT rebuild confidence (they say nothing about
 	// speculation) — only a successful probe does.
-	record(tb, site, HWNonPriv, true, 1000)
+	record(h, HWNonPriv, true, 1000)
 	if dec := d.Decide(h); dec.Strategy != Serial {
 		t.Fatalf("after failure: %+v", dec)
 	}
-	record(tb, site, Serial, false, 5000)
+	record(h, Serial, false, 5000)
 	if dec := d.Decide(h); dec.Strategy != Serial {
 		t.Fatalf("serial success re-armed speculation: %+v", dec)
 	}
 
 	// A successful probe raises conf to 1: Level 1 speculates with
 	// coarsened chunks.
-	record(tb, site, HWNonPriv, false, 1000)
+	record(h, HWNonPriv, false, 1000)
 	dec := d.Decide(h)
 	if dec.Strategy != HWNonPriv || dec.Chunk != 8 {
 		t.Fatalf("level 1 decision %+v, want hw-nonpriv chunk 8", dec)
 	}
 	// Another success -> conf 2 -> Level 2 at default chunking.
-	record(tb, site, dec.Strategy, false, 1000)
+	record(h, dec.Strategy, false, 1000)
 	if dec := d.Decide(h); dec.Strategy != HWNonPriv || dec.Chunk != 0 {
 		t.Fatalf("level 2 decision %+v", dec)
 	}
@@ -217,12 +155,10 @@ func TestThresholdLadder(t *testing.T) {
 
 func TestThresholdProbesFromSerial(t *testing.T) {
 	d := NewThreshold()
-	tb := NewTable(1)
-	site := tb.Site("loop")
-	h := tb.History(site)
+	h := NewHistory(0)
 
 	// Drive confidence to zero.
-	record(tb, site, HWNonPriv, true, 1000)
+	record(h, HWNonPriv, true, 1000)
 	probes := 0
 	for i := 0; i < 2*probePeriod; i++ {
 		dec := d.Decide(h)
@@ -230,7 +166,7 @@ func TestThresholdProbesFromSerial(t *testing.T) {
 			probes++
 		}
 		// Probes fail too: the loop stays racy.
-		record(tb, site, dec.Strategy, dec.Strategy != Serial, 1000)
+		record(h, dec.Strategy, dec.Strategy != Serial, 1000)
 	}
 	if probes != 2 {
 		t.Fatalf("saw %d probes in %d instances, want 2", probes, 2*probePeriod)
@@ -239,9 +175,7 @@ func TestThresholdProbesFromSerial(t *testing.T) {
 
 func TestThresholdDemotesToPriv(t *testing.T) {
 	d := NewThreshold()
-	tb := NewTable(1)
-	site := tb.Site("loop")
-	h := tb.History(site)
+	h := NewHistory(0)
 
 	// Non-privatization fails repeatedly; the director must eventually
 	// try privatization instead of bouncing between nonpriv and serial.
@@ -252,9 +186,9 @@ func TestThresholdDemotesToPriv(t *testing.T) {
 		case HWPriv:
 			sawPriv = true
 		case HWNonPriv:
-			record(tb, site, dec.Strategy, true, 2000)
+			record(h, dec.Strategy, true, 2000)
 		default:
-			record(tb, site, dec.Strategy, false, 5000)
+			record(h, dec.Strategy, false, 5000)
 		}
 	}
 	if !sawPriv {
@@ -264,9 +198,7 @@ func TestThresholdDemotesToPriv(t *testing.T) {
 
 func TestCostExploresThenExploits(t *testing.T) {
 	d := NewCost()
-	tb := NewTable(1)
-	site := tb.Site("loop")
-	h := tb.History(site)
+	h := NewHistory(0)
 
 	// Exploration phase: each strategy tried exactly once, speculative
 	// ones first.
@@ -275,7 +207,7 @@ func TestCostExploresThenExploits(t *testing.T) {
 	for i := 0; i < NumStrategies; i++ {
 		dec := d.Decide(h)
 		seen = append(seen, dec.Strategy)
-		record(tb, site, dec.Strategy, false, costs[dec.Strategy])
+		record(h, dec.Strategy, false, costs[dec.Strategy])
 	}
 	want := []Strategy{HWNonPriv, HWPriv, SWLRPD, Serial}
 	for i := range want {
@@ -290,15 +222,13 @@ func TestCostExploresThenExploits(t *testing.T) {
 		if dec.Strategy != HWNonPriv {
 			t.Fatalf("instance %d: cost picked %v, want hw-nonpriv", i, dec.Strategy)
 		}
-		record(tb, site, dec.Strategy, false, 1000)
+		record(h, dec.Strategy, false, 1000)
 	}
 }
 
 func TestCostSwitchesOnPhaseChange(t *testing.T) {
 	d := NewCost()
-	tb := NewTable(1)
-	site := tb.Site("loop")
-	h := tb.History(site)
+	h := NewHistory(0)
 
 	// Parallel phase: hardware wins.
 	run := func(failCost map[Strategy]int64, n int) (counts map[Strategy]int) {
@@ -307,7 +237,7 @@ func TestCostSwitchesOnPhaseChange(t *testing.T) {
 			dec := d.Decide(h)
 			counts[dec.Strategy]++
 			c := failCost[dec.Strategy]
-			record(tb, site, dec.Strategy, c < 0, abs64(c))
+			record(h, dec.Strategy, c < 0, abs64(c))
 		}
 		return counts
 	}
@@ -342,8 +272,8 @@ func TestDirectorsDeterministic(t *testing.T) {
 		{Strategy: HWNonPriv, Cycles: 1000},
 		{Strategy: HWNonPriv, Failed: true, Cycles: 4000},
 		{Strategy: Serial, Cycles: 3000},
-		{Strategy: HWPriv, Cycles: 1200, CopyOutWords: 64},
-		{Strategy: HWPriv, Cycles: 1100, CopyOutWords: 64},
+		{Strategy: HWPriv, Cycles: 1200},
+		{Strategy: HWPriv, Cycles: 1100},
 	}
 	for _, kind := range DirectorKinds {
 		d1, err := New(kind, Decision{Strategy: HWNonPriv})
@@ -351,16 +281,15 @@ func TestDirectorsDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		d2, _ := New(kind, Decision{Strategy: HWNonPriv})
-		t1, t2 := NewTable(1), NewTable(1)
-		s1, s2 := t1.Site("loop"), t2.Site("loop")
+		h1, h2 := NewHistory(0), NewHistory(0)
 		for i, o := range outcomes {
-			dec1 := d1.Decide(t1.History(s1))
-			dec2 := d2.Decide(t2.History(s2))
+			dec1 := d1.Decide(h1)
+			dec2 := d2.Decide(h2)
 			if dec1 != dec2 {
 				t.Fatalf("%v: instance %d decided %+v vs %+v", kind, i, dec1, dec2)
 			}
-			t1.Record(s1, o)
-			t2.Record(s2, o)
+			h1.Record(o)
+			h2.Record(o)
 		}
 	}
 }

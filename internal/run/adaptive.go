@@ -97,16 +97,14 @@ func strategyVariant(w *Workload, cfg Config, st policy.Strategy) (*Workload, Co
 }
 
 // executeAdaptive runs w under the director: per instance, decide from
-// the site history, run on the chosen strategy's session, observe the
-// outcome back into the table.
+// the loop's history, run on the chosen strategy's session, record the
+// outcome back into the history.
 func executeAdaptive(w *Workload, cfg Config, d policy.Director, progress ProgressFunc) (*Result, error) {
-	table := policy.NewTable(1)
-	site := table.Site(w.Name)
-	if c := w.HWSched.Chunk; c > 0 {
-		table.SetBaseChunk(site, c)
-	} else {
-		table.SetBaseChunk(site, w.SWSched.Chunk)
+	baseChunk := w.HWSched.Chunk
+	if baseChunk <= 0 {
+		baseChunk = w.SWSched.Chunk
 	}
+	hist := policy.NewHistory(baseChunk)
 
 	// One shared touched-element bitset per array under test, observed by
 	// every variant session's emitAccess (the variants renumber protocols
@@ -147,7 +145,7 @@ func executeAdaptive(w *Workload, cfg Config, d policy.Director, progress Progre
 
 	prev := -1
 	for exec := 0; exec < execs; exec++ {
-		dec := d.Decide(table.History(site))
+		dec := d.Decide(hist)
 		s := sessions[dec.Strategy]
 		if s == nil {
 			vw, vcfg := strategyVariant(w, cfg, dec.Strategy)
@@ -192,13 +190,7 @@ func executeAdaptive(w *Workload, cfg Config, d policy.Director, progress Progre
 			}
 			tp = n * 1000 / totalTested
 		}
-		table.Record(site, policy.Outcome{
-			Strategy:        dec.Strategy,
-			Failed:          failed,
-			Cycles:          int64(instCycles),
-			TouchedPermille: tp,
-			CopyOutWords:    copyOutWords,
-		})
+		hist.Record(policy.Outcome{Strategy: dec.Strategy, Failed: failed, Cycles: int64(instCycles)})
 
 		switched := prev >= 0 && prev != int(dec.Strategy)
 		if switched {

@@ -239,7 +239,6 @@ func (s *session) loopWindow(exec, lo, hi int) {
 			g := &loopGen{}
 			s.loopGens[p] = g
 			s.loopSrc[p] = g.next
-			s.loopBufs[p] = getInstrBuf()
 		}
 	}
 

@@ -398,9 +398,8 @@ func ExecuteWithProgress(w *Workload, cfg Config, progress ProgressFunc) (*Resul
 	}
 	res.NetStats = s.m.Net.Stats()
 	res.HomeQueue = s.m.HomeStats()
-	// All stats are collected; hand the caches, the directory table and
-	// the session's growth buffers back to their pools for the next
-	// Execute call.
+	// All stats are collected; hand the caches' frames and the LRPD
+	// shadow arrays back to their pools for the next Execute call.
 	s.m.Release()
 	s.release()
 	return res, nil

@@ -3,7 +3,6 @@ package run
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"specrt/internal/arena"
 	"specrt/internal/cache"
@@ -278,10 +277,6 @@ func (s *session) setupSW() {
 	s.swLineCount = make([]int, len(w.Arrays))
 	s.swShadows = make([]*lrpd.Shadows, len(w.Arrays))
 	s.trace = make([][]lrpd.Op, len(w.Arrays))
-	for i := range s.trace {
-		s.trace[i] = getOpBuf()
-	}
-	s.pwBuf = getOpBuf()
 	for i, a := range w.Arrays {
 		if a.Test == core.Plain {
 			continue
@@ -301,59 +296,10 @@ func nameP(arr, kind string, p int) string {
 	return fmt.Sprintf("%s.%s%02d", arr, kind, p)
 }
 
-// opBufPool and instrBufPool recycle the big growth buffers (access
-// traces, instruction streams) across sessions, so short runs don't pay
-// the append-growth cost on every Execute (pointer-boxed Puts).
-var (
-	opBufPool    sync.Pool
-	instrBufPool sync.Pool
-)
-
-func getOpBuf() []lrpd.Op {
-	if v := opBufPool.Get(); v != nil {
-		return (*(v.(*[]lrpd.Op)))[:0]
-	}
-	return nil
-}
-
-func putOpBuf(b []lrpd.Op) {
-	if cap(b) > 0 {
-		b = b[:0]
-		opBufPool.Put(&b)
-	}
-}
-
-func getInstrBuf() []cpu.Instr {
-	if v := instrBufPool.Get(); v != nil {
-		return (*(v.(*[]cpu.Instr)))[:0]
-	}
-	return nil
-}
-
-func putInstrBuf(b []cpu.Instr) {
-	if cap(b) > 0 {
-		b = b[:0]
-		instrBufPool.Put(&b)
-	}
-}
-
-// release hands the session's pooled buffers back once Execute has
-// collected its results. The session must not simulate afterwards.
+// release hands the session's shadow arrays back to their pool once
+// Execute has collected its results. The session must not simulate
+// afterwards.
 func (s *session) release() {
-	for i := range s.trace {
-		putOpBuf(s.trace[i])
-		s.trace[i] = nil
-	}
-	putOpBuf(s.pwBuf)
-	s.pwBuf = nil
-	for p := range s.insBuf {
-		putInstrBuf(s.insBuf[p])
-		s.insBuf[p] = nil
-	}
-	for p := range s.loopBufs {
-		putInstrBuf(s.loopBufs[p])
-		s.loopBufs[p] = nil
-	}
 	for i, sh := range s.swShadows {
 		if sh != nil {
 			lrpd.PutShadows(sh)
@@ -575,9 +521,6 @@ func (s *session) phaseBufs() []cpu.Source {
 	if s.srcBuf == nil {
 		s.srcBuf = make([]cpu.Source, s.procs)
 		s.insBuf = make([][]cpu.Instr, s.procs)
-		for p := range s.insBuf {
-			s.insBuf[p] = getInstrBuf()
-		}
 	}
 	return s.srcBuf
 }

@@ -5,9 +5,7 @@ package stats
 
 import (
 	"fmt"
-	"math"
 
-	"specrt/internal/cpu"
 	"specrt/internal/run"
 )
 
@@ -53,32 +51,6 @@ func Efficiency(serial, parallel *run.Result) float64 {
 		return 0
 	}
 	return run.Speedup(serial, parallel) / float64(parallel.Procs)
-}
-
-// FracOfWork returns what fraction of the average processor's time went
-// to each category.
-func FracOfWork(b cpu.Breakdown) (busy, mem, sync float64) {
-	t := float64(b.Total())
-	if t == 0 {
-		return 0, 0, 0
-	}
-	return float64(b.Busy) / t, float64(b.Mem) / t, float64(b.Sync) / t
-}
-
-// GeoMean returns the geometric mean of xs (the paper reports average
-// speedups across loops).
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	prod := 1.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		prod *= x
-	}
-	return math.Pow(prod, 1.0/float64(len(xs)))
 }
 
 // Mean returns the arithmetic mean of xs.

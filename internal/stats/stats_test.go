@@ -70,28 +70,6 @@ func TestEfficiency(t *testing.T) {
 	}
 }
 
-func TestFracOfWork(t *testing.T) {
-	b, m, s := FracOfWork(cpu.Breakdown{Busy: 50, Mem: 30, Sync: 20})
-	if math.Abs(b-0.5) > 1e-9 || math.Abs(m-0.3) > 1e-9 || math.Abs(s-0.2) > 1e-9 {
-		t.Fatalf("fracs = %f %f %f", b, m, s)
-	}
-	if b, m, s := FracOfWork(cpu.Breakdown{}); b+m+s != 0 {
-		t.Fatal("empty breakdown fracs not zero")
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if g := GeoMean([]float64{2, 8}); math.Abs(g-4) > 1e-9 {
-		t.Fatalf("geomean = %f, want 4", g)
-	}
-	if g := GeoMean(nil); g != 0 {
-		t.Fatalf("geomean(nil) = %f", g)
-	}
-	if g := GeoMean([]float64{1, 0}); g != 0 {
-		t.Fatalf("geomean with zero = %f", g)
-	}
-}
-
 func TestMean(t *testing.T) {
 	if m := Mean([]float64{1, 2, 3}); math.Abs(m-2) > 1e-9 {
 		t.Fatalf("mean = %f", m)
