@@ -427,6 +427,24 @@ func BenchmarkLRPDMarkAnalyze(b *testing.B) {
 	}
 }
 
+// BenchmarkValidateP3mPaper4096 is the admission check a service runs
+// before every job: P3m at paper scale under SW on directory.MaxProcs
+// processors, the largest layout a paper loop asks for.
+func BenchmarkValidateP3mPaper4096(b *testing.B) {
+	w, cfg, err := harness.ResolveJob(harness.JobSpec{Workload: "P3m",
+		Config: run.Config{Mode: run.SW, Procs: directory.MaxProcs}}, harness.Paper)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := run.Validate(w, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkSpeculativeDoAllParallelLoop(b *testing.B) {
 	data := make([]float64, 4096)
 	b.ResetTimer()

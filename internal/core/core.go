@@ -305,7 +305,11 @@ func (c *Controller) AddNonPriv(r mem.Region) *Array {
 func PrivCopies(sp *mem.Space, r mem.Region, procs int) []mem.Region {
 	priv := make([]mem.Region, procs)
 	for p := range priv {
-		priv[p] = sp.Alloc(fmt.Sprintf("%s.priv%d", r.Name, p), r.Elems, r.ElemSize, mem.Local, p)
+		name := ""
+		if !sp.Measuring() {
+			name = fmt.Sprintf("%s.priv%d", r.Name, p)
+		}
+		priv[p] = sp.Alloc(name, r.Elems, r.ElemSize, mem.Local, p)
 	}
 	return priv
 }

@@ -9,7 +9,8 @@
 //     the Marking and Analysis phases of §2.2.2, including the
 //     privatization conditions and the read-in extension of §2.2.3.
 //     The simulated SW scheme of package run uses these semantics for
-//     its pass/fail ground truth.
+//     its pass/fail ground truth, marking each (super-)iteration with
+//     MarkIteration as its accesses are generated.
 //
 //   - A real, host-parallel speculative executor (DoAll) that runs a Go
 //     loop body across goroutines with per-worker privatized storage and
@@ -23,8 +24,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-
-	"specrt/internal/arena"
 )
 
 // Op is one access to the array under test, recorded in program order.
@@ -124,9 +123,9 @@ type Shadows struct {
 	// using 1-based iterations; 0 means none.
 	MinW    []int32
 	MaxR1st []int32
-	// mark holds reusable marking-phase scratch state, allocated on the
-	// first Mark call and retained so that a Shadows reset and reused
-	// across executions marks without allocating.
+	// mark holds the marking phase's stamp arrays, allocated on the
+	// first marked iteration and retained so that a Shadows reset and
+	// reused across executions marks without allocating.
 	mark *markScratch
 }
 
@@ -144,26 +143,6 @@ func NewShadows(n int) *Shadows {
 
 // Len returns the number of elements the shadows cover.
 func (s *Shadows) Len() int { return s.n }
-
-// shadowsPool recycles Shadows (with their marking scratch) across
-// users, keyed by element count, so short-lived sessions don't regrow
-// the bucket and stamp arrays on every run. Kept because it pays: without
-// it BenchmarkFig11P3mSW makes 2.4x the allocations, over its allocs gate
-// (EXPERIMENTS "Storage scoped to its user").
-var shadowsPool arena.SizePool[Shadows]
-
-// GetShadows returns reset shadow arrays for n elements, reusing pooled
-// storage when available.
-func GetShadows(n int) *Shadows {
-	if s := shadowsPool.Get(n); s != nil {
-		s.Reset()
-		return s
-	}
-	return NewShadows(n)
-}
-
-// PutShadows hands s back to the pool; s must not be used afterwards.
-func PutShadows(s *Shadows) { shadowsPool.Put(s.n, s) }
 
 // Reset clears the shadows for reuse, keeping the marking scratch.
 func (s *Shadows) Reset() {
@@ -192,29 +171,25 @@ func (s *Shadows) Merge(other *Shadows) {
 	s.Atw += other.Atw
 }
 
-// markScratch is the reusable grouping and per-iteration state of the
-// marking phase. The per-iteration "written in this iteration" /
-// "written so far" / "read first" sets are stamp arrays: a slot belongs
-// to the current iteration only when it holds the current stamp, so
-// starting a new iteration is one counter increment instead of a map
-// allocation.
+// markScratch is the reusable per-iteration state of the marking phase.
+// The per-iteration "written in this iteration" / "written so far" /
+// "read first" sets are stamp arrays: a slot belongs to the current
+// iteration only when it holds the current stamp, so starting a new
+// iteration is one counter increment instead of a map allocation.
 type markScratch struct {
-	wIter    []int32 // stamp: element written somewhere in this iteration
-	wSoFar   []int32 // stamp: element written before this point
-	rFirst   []int32 // stamp: element already read-first in this iteration
-	stamp    int32
-	groupIdx map[int]int // iteration -> bucket, in first-seen order
-	buckets  [][]Op
+	wIter  []int32 // stamp: element written somewhere in this iteration
+	wSoFar []int32 // stamp: element written before this point
+	rFirst []int32 // stamp: element already read-first in this iteration
+	stamp  int32
 }
 
 // scratch returns the lazily-allocated marking scratch.
 func (s *Shadows) scratch() *markScratch {
 	if s.mark == nil {
 		s.mark = &markScratch{
-			wIter:    make([]int32, s.n),
-			wSoFar:   make([]int32, s.n),
-			rFirst:   make([]int32, s.n),
-			groupIdx: make(map[int]int),
+			wIter:  make([]int32, s.n),
+			wSoFar: make([]int32, s.n),
+			rFirst: make([]int32, s.n),
 		}
 	}
 	return s.mark
@@ -233,42 +208,41 @@ func (m *markScratch) nextStamp() int32 {
 	return m.stamp
 }
 
-// Mark runs the marking phase over ops. Accesses of one iteration must
-// appear in program order relative to each other, but iterations may
-// interleave arbitrarily (as they do in a parallel execution, or after
-// the processor-wise super-iteration mapping): ops are grouped by
-// iteration before marking. The group buckets are retained and reused
-// across calls.
+// Mark runs the marking phase over a recorded trace. Accesses of one
+// iteration must appear in program order relative to each other, but
+// iterations may interleave arbitrarily (as they do in a parallel
+// execution): ops are grouped by iteration, and each group is marked
+// with MarkIteration.
 func (s *Shadows) Mark(ops []Op) {
-	m := s.scratch()
-	clear(m.groupIdx)
-	used := 0
+	groupIdx := make(map[int]int) // iteration -> group, in first-seen order
+	var groups [][]Op
 	for _, op := range ops {
-		gi, ok := m.groupIdx[op.Iter]
+		gi, ok := groupIdx[op.Iter]
 		if !ok {
-			if used == len(m.buckets) {
-				m.buckets = append(m.buckets, nil)
-			}
-			m.buckets[used] = m.buckets[used][:0]
-			gi = used
-			m.groupIdx[op.Iter] = gi
-			used++
+			gi = len(groups)
+			groupIdx[op.Iter] = gi
+			groups = append(groups, nil)
 		}
-		m.buckets[gi] = append(m.buckets[gi], op)
+		groups[gi] = append(groups[gi], op)
 	}
-	for i := 0; i < used; i++ {
-		s.markIteration(m.buckets[i])
+	for _, g := range groups {
+		s.MarkIteration(g[0].Iter, g)
 	}
 }
 
-// markIteration applies §2.2.2 step 1 to the accesses of one iteration.
-func (s *Shadows) markIteration(ops []Op) {
+// MarkIteration applies §2.2.2 step 1 to ops, the accesses of
+// (super-)iteration iter in program order; the ops' own Iter fields are
+// not read. Iterations commute: each ORs into the bit shadows, lowers
+// MinW, raises MaxR1st and adds to Atw, so marking them in any order
+// leaves the same shadows, and a caller may mark each iteration as soon
+// as its accesses are known.
+func (s *Shadows) MarkIteration(iter int, ops []Op) {
 	if len(ops) == 0 {
 		return
 	}
 	m := s.scratch()
 	stamp := m.nextStamp()
-	iter := int32(ops[0].Iter)
+	it := int32(iter)
 	// wIter: elements written anywhere in this iteration (needed for the
 	// "neither before nor after" read condition).
 	written := 0
@@ -283,8 +257,8 @@ func (s *Shadows) markIteration(ops []Op) {
 		if op.Write {
 			s.Aw.Set(e)
 			m.wSoFar[e] = stamp
-			if s.MinW[e] == 0 || iter+1 < s.MinW[e] {
-				s.MinW[e] = iter + 1
+			if s.MinW[e] == 0 || it+1 < s.MinW[e] {
+				s.MinW[e] = it + 1
 			}
 			continue
 		}
@@ -296,8 +270,8 @@ func (s *Shadows) markIteration(ops []Op) {
 			s.Anp.Set(e)
 			if m.rFirst[e] != stamp {
 				m.rFirst[e] = stamp
-				if iter+1 > s.MaxR1st[e] {
-					s.MaxR1st[e] = iter + 1
+				if it+1 > s.MaxR1st[e] {
+					s.MaxR1st[e] = it + 1
 				}
 			}
 		}
@@ -389,7 +363,8 @@ func AnalyzeWithReadIn(s *Shadows) Result {
 
 // Test runs marking and analysis over a full trace for an array of elems
 // elements. It is the iteration-wise test; for the processor-wise variant
-// map each op's Iter to its processor ID first (ProcessorWise).
+// (§2.2.3) give each op its processor's chunk as Iter, so that each chunk
+// is marked as one super-iteration.
 func Test(elems int, ops []Op, privatized bool) Result {
 	s := NewShadows(elems)
 	s.Mark(ops)
@@ -401,17 +376,6 @@ func TestWithReadIn(elems int, ops []Op) Result {
 	s := NewShadows(elems)
 	s.Mark(ops)
 	return AnalyzeWithReadIn(s)
-}
-
-// ProcessorWise rewrites a trace for the processor-wise test (§2.2.3):
-// each processor's chunk of contiguous iterations becomes one
-// super-iteration. chunkOf maps an iteration to its processor. The
-// rewritten ops are appended to dst, so a caller can reuse one buffer.
-func ProcessorWise(dst, ops []Op, chunkOf func(iter int) int) []Op {
-	for _, op := range ops {
-		dst = append(dst, Op{Iter: chunkOf(op.Iter), Elem: op.Elem, Write: op.Write})
-	}
-	return dst
 }
 
 // Oracle decides ground truth by simulating the loop serially: the loop

@@ -149,11 +149,29 @@ func TestProcessorWiseHidesIntraChunkDependences(t *testing.T) {
 	if res := TestWithReadIn(8, ops); res.Verdict != NotParallel {
 		t.Fatalf("iteration-wise verdict = %v", res.Verdict)
 	}
-	chunkOf := func(iter int) int { return iter / 2 }
-	pw := ProcessorWise(nil, ops, chunkOf)
-	if res := TestWithReadIn(8, pw); res.Verdict == NotParallel {
+	pw := markByChunk(8, ops, func(iter int) int { return iter / 2 })
+	if res := AnalyzeWithReadIn(pw); res.Verdict == NotParallel {
 		t.Fatalf("processor-wise verdict = %v, want parallel", res.Verdict)
 	}
+}
+
+// markByChunk runs the processor-wise marking phase (§2.2.3) on ops:
+// each chunk's accesses, in trace order, are marked with MarkIteration as
+// one super-iteration numbered chunkOf(iter).
+func markByChunk(elems int, ops []Op, chunkOf func(iter int) int) *Shadows {
+	var chunks [][]Op
+	for _, op := range ops {
+		c := chunkOf(op.Iter)
+		for len(chunks) <= c {
+			chunks = append(chunks, nil)
+		}
+		chunks[c] = append(chunks[c], op)
+	}
+	s := NewShadows(elems)
+	for c, g := range chunks {
+		s.MarkIteration(c, g)
+	}
+	return s
 }
 
 func TestMergeShadows(t *testing.T) {
@@ -260,7 +278,7 @@ func TestPropertyProcessorWiseWeaker(t *testing.T) {
 		ops := randomTrace(rng, iters, 6, 3)
 		iw := TestWithReadIn(6, ops).Verdict
 		chunk := (iters + procs - 1) / procs
-		pw := TestWithReadIn(6, ProcessorWise(nil, ops, func(i int) int { return i / chunk }))
+		pw := AnalyzeWithReadIn(markByChunk(6, ops, func(i int) int { return i / chunk }))
 		if iw != NotParallel && pw.Verdict == NotParallel {
 			return false
 		}

@@ -100,9 +100,10 @@ type Space struct {
 	Nodes    int
 	next     Addr
 	regions  []Region
-	rrNext   int // next node for round-robin page placement continuity
-	last     int // region index of the last successful lookup (memo)
-	nodeMask int // Nodes-1 when Nodes is a power of two, else -1
+	rrNext   int  // next node for round-robin page placement continuity
+	last     int  // region index of the last successful lookup (memo)
+	nodeMask int  // Nodes-1 when Nodes is a power of two, else -1
+	measure  bool // NewMeasure: Alloc records no regions
 }
 
 // NewSpace creates an address space for a machine with n nodes.
@@ -118,6 +119,20 @@ func NewSpace(n int) *Space {
 	// element address (useful as a sentinel).
 	return &Space{Nodes: n, next: PageSize, nodeMask: mask}
 }
+
+// NewMeasure creates an address space that only measures a layout:
+// Alloc returns each region and advances TotalBytes exactly as on a
+// NewSpace space, but records none, so lookups find nothing. Nothing
+// reads its region names (Measuring).
+func NewMeasure(n int) *Space {
+	s := NewSpace(n)
+	s.measure = true
+	return s
+}
+
+// Measuring reports whether s only measures (NewMeasure), so that a
+// caller laying regions out on it may leave them unnamed.
+func (s *Space) Measuring() bool { return s.measure }
 
 // Alloc carves a region of elems elements of elemSize bytes with the given
 // placement. For Local placement, node selects the home node. Regions are
@@ -142,7 +157,9 @@ func (s *Space) Alloc(name string, elems, elemSize int, place Placement, node in
 		node:     node,
 	}
 	s.next += Addr(pages * PageSize)
-	s.regions = append(s.regions, r)
+	if !s.measure {
+		s.regions = append(s.regions, r)
+	}
 	return r
 }
 

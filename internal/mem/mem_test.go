@@ -207,3 +207,25 @@ func TestElemIndexOutsidePanics(t *testing.T) {
 	}()
 	r.ElemIndex(r.End() + 100)
 }
+
+// A measuring space lays regions out exactly like a real one but records
+// none of them.
+func TestMeasureLaysOutLikeSpace(t *testing.T) {
+	sp, measure := NewSpace(4), NewMeasure(4)
+	for i, a := range []struct{ elems, size int }{{100, 8}, {5000, 4}, {1, 16}} {
+		r := sp.Alloc("A", a.elems, a.size, Local, i)
+		m := measure.Alloc("", a.elems, a.size, Local, i)
+		if m.Base != r.Base || m.Bytes != r.Bytes {
+			t.Fatalf("alloc %d: measured region at %#x (%d B), real at %#x (%d B)", i, m.Base, m.Bytes, r.Base, r.Bytes)
+		}
+	}
+	if measure.TotalBytes() != sp.TotalBytes() || !measure.Measuring() || sp.Measuring() {
+		t.Fatalf("TotalBytes measured %d, real %d", measure.TotalBytes(), sp.TotalBytes())
+	}
+	if n := len(measure.Regions()); n != 0 {
+		t.Fatalf("measuring space recorded %d regions", n)
+	}
+	if _, ok := measure.FindRegion(sp.Regions()[0].Base); ok {
+		t.Fatal("measuring space found a region")
+	}
+}

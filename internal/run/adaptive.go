@@ -123,7 +123,6 @@ func executeAdaptive(w *Workload, cfg Config, d policy.Director, progress Progre
 		for _, s := range sessions {
 			if s != nil {
 				s.m.Release()
-				s.release()
 			}
 		}
 	}

@@ -45,14 +45,14 @@ func (s *session) emitAccess(c *Ctx, arr, elem int, write bool) {
 		return
 	}
 
-	// Software scheme: record the access for the real LRPD verdict and
+	// Software scheme: buffer the access for the real LRPD marking and
 	// emit the marking instructions of §2.2.2.
-	s.trace[arr] = append(s.trace[arr], lrpd.Op{Iter: c.iter, Elem: elem, Write: write})
 	p := c.p
-	shIdx := elem
+	shIdx, b := elem, 0
 	if s.w.SWProcWise {
-		shIdx = elem / 32
+		shIdx, b = elem/32, p
 	}
+	s.swOps[arr][b] = append(s.swOps[arr][b], lrpd.Op{Iter: c.iter, Elem: elem, Write: write})
 	s.swLines[arr].Set(p*s.swLineCount[arr] + shIdx/s.elemsPerLine(s.swGlobal[arr]))
 	wrSh := s.swWr[arr][p].ElemAddr(shIdx)
 	rdSh := s.swRd[arr][p].ElemAddr(shIdx)
@@ -116,8 +116,8 @@ type loopGen struct {
 // next is the processor's cpu.Source: it resets the buffer and generates
 // until it holds instructions or the schedule is finished. The processor
 // asks only once it has used up the previous batch, so generation — which
-// consumes shared scheduling state (the dynamic dispenser) and appends to
-// the access trace — stays tied to consumption order, and the buffer's
+// consumes shared scheduling state (the dynamic dispenser) and marks the
+// LRPD shadows — stays tied to consumption order, and the buffer's
 // backing array is free to reuse.
 func (g *loopGen) next(*cpu.Proc) []cpu.Instr {
 	g.buf = g.buf[:0]
@@ -134,6 +134,9 @@ func (g *loopGen) generate() {
 		// Emit one iteration of the current block.
 		c := &Ctx{s: s, p: g.p, exec: g.exec, iter: g.curIter, buf: &g.buf}
 		s.w.Body(g.exec, g.curIter, c)
+		if s.cfg.Mode == SW && !s.w.SWProcWise {
+			s.markIteration(g.curIter)
+		}
 		g.curIter++
 		return
 	}
@@ -253,11 +256,12 @@ func (s *session) loopWindow(exec, lo, hi int) {
 	}
 
 	var disp *sched.Dispenser
+	var static []sched.Block
 	switch cfg.Kind {
 	case sched.Dynamic:
 		disp = sched.NewDispenser(iters, cfg.Chunk)
 	case sched.Static:
-		s.staticMap = shift(s.staticMap[:0], sched.StaticBlocks(iters, s.procs))
+		static = sched.StaticBlocks(iters, s.procs)
 	}
 
 	for p := 0; p < s.procs; p++ {
@@ -266,7 +270,7 @@ func (s *session) loopWindow(exec, lo, hi int) {
 			buf: s.loopBufs[p][:0], blocks: g.blocks[:0]}
 		switch cfg.Kind {
 		case sched.Static:
-			g.blocks = append(g.blocks, s.staticMap[p])
+			g.blocks = shift(g.blocks, static[p:p+1])
 		case sched.BlockCyclic:
 			g.blocks = shift(g.blocks, sched.BlockCyclicBlocks(iters, s.procs, cfg.Chunk)[p])
 		}

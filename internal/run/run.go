@@ -398,10 +398,9 @@ func ExecuteWithProgress(w *Workload, cfg Config, progress ProgressFunc) (*Resul
 	}
 	res.NetStats = s.m.Net.Stats()
 	res.HomeQueue = s.m.HomeStats()
-	// All stats are collected; hand the caches' frames and the LRPD
-	// shadow arrays back to their pools for the next Execute call.
+	// All stats are collected; hand the caches' frames back to their
+	// pool for the next Execute call.
 	s.m.Release()
-	s.release()
 	return res, nil
 }
 
@@ -507,14 +506,15 @@ func validate(w *Workload, cfg Config) error {
 	return nil
 }
 
-// checkSpace lays the session for (w, cfg) out on a scratch address
-// space, which allocates nothing per element, and rejects it when its
-// highest line is past what the caches can tag (cache.Config.MaxAddr).
+// checkSpace lays the session for (w, cfg) out on a measuring address
+// space, which allocates nothing per element and records and names no
+// region, and rejects it when its highest line is past what the caches
+// can tag (cache.Config.MaxAddr).
 func checkSpace(w *Workload, cfg Config) error {
 	l1, _ := cacheConfigs(cfg)
 	limit := l1.MaxAddr()
 	procs := sessionProcs(cfg)
-	if _, fits := layoutSpace(mem.NewSpace(procs), w, cfg, procs, limit); !fits {
+	if _, fits := layoutSpace(mem.NewMeasure(procs), w, cfg, procs, limit); !fits {
 		return fmt.Errorf("run: workload %q needs more simulated memory than the %d GB address bound (mode %v, procs=%d)",
 			w.Name, limit>>30, cfg.Mode, cfg.Procs)
 	}

@@ -297,6 +297,37 @@ func TestProcessorWiseSWPassesWhereIterationWiseFails(t *testing.T) {
 	}
 }
 
+// The SW scheme marks the LRPD shadows as the loop is generated and
+// keeps no access trace. After each execution an iteration-wise session
+// holds no unmarked access and room for about one iteration's; a
+// processor-wise session holds the last execution's accesses and no
+// earlier ones, one buffer per processor.
+func TestSWMarkingRetainsNoTrace(t *testing.T) {
+	const procs, iters, execs, perIter = 4, 256, 3, 2
+	for _, procWise := range []bool{false, true} {
+		w := indepLoop(core.Priv, iters, 64, 10)
+		w.Executions, w.SWProcWise = execs, procWise
+		s := newSession(w, cfgFor(SW, procs))
+		res := &Result{Verdicts: map[string]lrpd.Verdict{}}
+		for exec := 0; exec < execs; exec++ {
+			s.runOne(exec, res)
+			held, room := 0, 0
+			for _, buf := range s.swOps[0] {
+				held, room = held+len(buf), room+cap(buf)
+			}
+			switch {
+			case !procWise && (len(s.swOps[0]) != 1 || held != 0 || room > 2*perIter):
+				t.Fatalf("iteration-wise, execution %d: %d buffers hold %d accesses with room for %d, want one empty buffer with room for at most %d",
+					exec, len(s.swOps[0]), held, room, 2*perIter)
+			case procWise && (len(s.swOps[0]) != procs || held != iters*perIter || room > 2*held):
+				t.Fatalf("processor-wise, execution %d: %d buffers hold %d accesses with room for %d, want %d buffers holding %d",
+					exec, len(s.swOps[0]), held, room, procs, iters*perIter)
+			}
+		}
+		s.m.Release()
+	}
+}
+
 func TestHWProcessorWiseUnderAnyScheduling(t *testing.T) {
 	// The same pattern passes under HW with dynamic blocks that keep
 	// the dependent pair together (§5.2: "the plain dynamically-
@@ -794,7 +825,6 @@ func TestWideBitStorageOnDemand(t *testing.T) {
 	cfg := cfgFor(HW, procs)
 	cfg.Topology, cfg.L1Bytes, cfg.L2Bytes = interconnect.Mesh, 8<<10, 64<<10
 	s := newSession(w, cfg)
-	defer s.release()
 	defer s.m.Release()
 	s.runOne(0, &Result{Verdicts: map[string]lrpd.Verdict{}})
 	bits, frames := 0, 0

@@ -12,7 +12,6 @@ import (
 	"specrt/internal/lrpd"
 	"specrt/internal/machine"
 	"specrt/internal/mem"
-	"specrt/internal/sched"
 	"specrt/internal/sim"
 )
 
@@ -63,15 +62,19 @@ type session struct {
 	// for the sparse merge.
 	swLines     []*arena.Bits
 	swLineCount []int
-	// swShadows and pwBuf are the retained LRPD shadow arrays and
-	// processor-wise op buffer of the analysis phase.
+	// swShadows are the LRPD shadow arrays the real test marks as the
+	// loop is generated (§2.2.2), retained and reset between executions.
 	swShadows []*lrpd.Shadows
-	pwBuf     []lrpd.Op
+	// swOps[arr][b] holds the accesses to array arr not yet marked on
+	// swShadows[arr]. Under the iteration-wise test b is 0 and the
+	// buffer holds the iteration being generated, marked as soon as its
+	// Body returns. Under the processor-wise test b is the processor and
+	// the buffer holds its chunk, marked as one super-iteration by
+	// analyze.
+	swOps [][][]lrpd.Op
 	// sparseSaved[arr] marks elements already saved by the sparse backup
 	// in the current execution.
 	sparseSaved []*arena.Bits
-	trace       [][]lrpd.Op   // [array] recorded accesses of this execution
-	staticMap   []sched.Block // schedule used, for the processor-wise test
 	// insBuf/srcBuf are the reusable per-processor instruction buffers
 	// and sources of the copy and merge phases.
 	insBuf [][]cpu.Instr
@@ -194,9 +197,9 @@ type spaceLayout struct {
 // for w under cfg uses on procs processors, and reports whether the
 // space stays within limit bytes. It is the one description of that
 // layout: newSession allocates from it and validate checks it against
-// the caches' address bound on a scratch space. It stops at the first
-// step that passes limit, so an oversized workload costs little to
-// reject and no size computation overflows.
+// the caches' address bound on a measuring space (mem.NewMeasure). It
+// stops at the first step that passes limit, so an oversized workload
+// costs little to reject and no size computation overflows.
 func layoutSpace(sp *mem.Space, w *Workload, cfg Config, procs int, limit uint64) (l spaceLayout, fits bool) {
 	n := len(w.Arrays)
 	over := func() bool { return sp.TotalBytes() > limit }
@@ -244,11 +247,15 @@ func layoutSpace(sp *mem.Space, w *Workload, cfg Config, procs int, limit uint64
 				continue
 			}
 			ne := shadowElems(w, a.Elems)
+			l.swRd[i], l.swWr[i] = make([]mem.Region, procs), make([]mem.Region, procs)
+			if a.Test == core.Priv {
+				l.swPriv[i] = make([]mem.Region, procs)
+			}
 			for p := 0; p < procs; p++ {
-				l.swRd[i] = append(l.swRd[i], sp.Alloc(nameP(a.Name, "rdsh", p), ne, 4, mem.Local, p))
-				l.swWr[i] = append(l.swWr[i], sp.Alloc(nameP(a.Name, "wrsh", p), ne, 4, mem.Local, p))
+				l.swRd[i][p] = sp.Alloc(nameP(sp, a.Name, "rdsh", p), ne, 4, mem.Local, p)
+				l.swWr[i][p] = sp.Alloc(nameP(sp, a.Name, "wrsh", p), ne, 4, mem.Local, p)
 				if a.Test == core.Priv {
-					l.swPriv[i] = append(l.swPriv[i], sp.Alloc(nameP(a.Name, "priv", p), a.Elems, a.ElemSize, mem.Local, p))
+					l.swPriv[i][p] = sp.Alloc(nameP(sp, a.Name, "priv", p), a.Elems, a.ElemSize, mem.Local, p)
 				}
 			}
 			l.swGlobal[i] = sp.Alloc(a.Name+".gsh", ne, 4, mem.RoundRobin, 0)
@@ -276,7 +283,11 @@ func (s *session) setupSW() {
 	s.swLines = make([]*arena.Bits, len(w.Arrays))
 	s.swLineCount = make([]int, len(w.Arrays))
 	s.swShadows = make([]*lrpd.Shadows, len(w.Arrays))
-	s.trace = make([][]lrpd.Op, len(w.Arrays))
+	s.swOps = make([][][]lrpd.Op, len(w.Arrays))
+	bufs := 1
+	if w.SWProcWise {
+		bufs = s.procs
+	}
 	for i, a := range w.Arrays {
 		if a.Test == core.Plain {
 			continue
@@ -285,27 +296,21 @@ func (s *session) setupSW() {
 		lines := (g.Elems + s.elemsPerLine(g) - 1) / s.elemsPerLine(g)
 		s.swLineCount[i] = lines
 		s.swLines[i] = arena.NewBits(s.procs * lines)
-		s.swShadows[i] = lrpd.GetShadows(a.Elems)
+		s.swShadows[i] = lrpd.NewShadows(a.Elems)
+		s.swOps[i] = make([][]lrpd.Op, bufs)
 		if a.Test == core.Priv {
 			s.swTouched[i] = arena.NewBits(s.procs * a.Elems)
 		}
 	}
 }
 
-func nameP(arr, kind string, p int) string {
-	return fmt.Sprintf("%s.%s%02d", arr, kind, p)
-}
-
-// release hands the session's shadow arrays back to their pool once
-// Execute has collected its results. The session must not simulate
-// afterwards.
-func (s *session) release() {
-	for i, sh := range s.swShadows {
-		if sh != nil {
-			lrpd.PutShadows(sh)
-			s.swShadows[i] = nil
-		}
+// nameP names processor p's region of kind for array arr; a measuring
+// space keeps no names, so validate's pass formats none.
+func nameP(sp *mem.Space, arr, kind string, p int) string {
+	if sp.Measuring() {
+		return ""
 	}
+	return fmt.Sprintf("%s.%s%02d", arr, kind, p)
 }
 
 // resetSparse clears per-execution sparse-backup state (O(1) epoch
@@ -318,11 +323,18 @@ func (s *session) resetSparse() {
 	}
 }
 
-// resetSWExec clears per-execution software state; the arena tables
-// reset in O(1) and the trace buffers keep their capacity.
+// resetSWExec clears per-execution software state: the shadows, whose
+// marks an aborted execution may have left, and the arena tables, which
+// reset in O(1). The op buffers keep their capacity.
 func (s *session) resetSWExec() {
-	for i := range s.trace {
-		s.trace[i] = s.trace[i][:0]
+	for i, sh := range s.swShadows {
+		if sh == nil {
+			continue
+		}
+		sh.Reset()
+		for b := range s.swOps[i] {
+			s.swOps[i][b] = s.swOps[i][b][:0]
+		}
 	}
 	for _, b := range s.swTouched {
 		if b != nil {
@@ -463,24 +475,34 @@ func (s *session) serialReexec(exec int) (sim.Time, cpu.Breakdown) {
 	return r.Cycles, r.Breakdown
 }
 
-// analyze runs the real LRPD test over the recorded trace, filling
-// res.Verdicts; it returns true if any array under test failed. The
-// shadow arrays are retained per array and reset between executions;
-// the processor-wise rewrite reuses one op buffer.
+// markIteration marks the accesses the iteration-wise test buffered
+// for iteration iter on the shadows and empties the buffers.
+func (s *session) markIteration(iter int) {
+	for i, sh := range s.swShadows {
+		if sh != nil {
+			sh.MarkIteration(iter, s.swOps[i][0])
+			s.swOps[i][0] = s.swOps[i][0][:0]
+		}
+	}
+}
+
+// analyze runs the analysis phase of the real LRPD test on the shadows
+// marked during the loop, filling res.Verdicts; it returns true if any
+// array under test failed. The processor-wise test first marks each
+// processor's chunk of the static schedule as the super-iteration
+// numbered by the processor (§2.2.3).
 func (s *session) analyze(exec int, res *Result) bool {
 	failed := false
 	for i, a := range s.w.Arrays {
 		if a.Test == core.Plain {
 			continue
 		}
-		ops := s.trace[i]
-		if s.w.SWProcWise {
-			s.pwBuf = lrpd.ProcessorWise(s.pwBuf[:0], ops, s.chunkOf)
-			ops = s.pwBuf
-		}
 		sh := s.swShadows[i]
-		sh.Reset()
-		sh.Mark(ops)
+		if s.w.SWProcWise {
+			for p, ops := range s.swOps[i] {
+				sh.MarkIteration(p, ops)
+			}
+		}
 		var v lrpd.Verdict
 		if a.Test == core.Priv {
 			v = lrpd.AnalyzeWithReadIn(sh).Verdict
@@ -493,17 +515,6 @@ func (s *session) analyze(exec int, res *Result) bool {
 		}
 	}
 	return failed
-}
-
-// chunkOf maps an iteration to its processor under the static schedule
-// used by the processor-wise test.
-func (s *session) chunkOf(iter int) int {
-	for p, b := range s.staticMap {
-		if iter >= b.Lo && iter < b.Hi {
-			return p
-		}
-	}
-	return 0
 }
 
 // elemsPerLine returns how many elements of r fit a cache line.
