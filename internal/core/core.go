@@ -304,11 +304,8 @@ func (c *Controller) AddNonPriv(r mem.Region) *Array {
 // in that processor's local memory: the copies AddPriv takes.
 func PrivCopies(sp *mem.Space, r mem.Region, procs int) []mem.Region {
 	priv := make([]mem.Region, procs)
+	name := r.Name + ".priv"
 	for p := range priv {
-		name := ""
-		if !sp.Measuring() {
-			name = fmt.Sprintf("%s.priv%d", r.Name, p)
-		}
 		priv[p] = sp.Alloc(name, r.Elems, r.ElemSize, mem.Local, p)
 	}
 	return priv

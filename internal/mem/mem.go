@@ -122,17 +122,12 @@ func NewSpace(n int) *Space {
 
 // NewMeasure creates an address space that only measures a layout:
 // Alloc returns each region and advances TotalBytes exactly as on a
-// NewSpace space, but records none, so lookups find nothing. Nothing
-// reads its region names (Measuring).
+// NewSpace space, but records none, so lookups find nothing.
 func NewMeasure(n int) *Space {
 	s := NewSpace(n)
 	s.measure = true
 	return s
 }
-
-// Measuring reports whether s only measures (NewMeasure), so that a
-// caller laying regions out on it may leave them unnamed.
-func (s *Space) Measuring() bool { return s.measure }
 
 // Alloc carves a region of elems elements of elemSize bytes with the given
 // placement. For Local placement, node selects the home node. Regions are

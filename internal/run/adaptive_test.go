@@ -40,36 +40,65 @@ func racyLoop(iters int) *Workload {
 // TestAdaptiveStaticMatchesPlainExecution: the static director pins the
 // strategy the mode would have run, so an adaptive run under it must
 // reproduce the plain execution cycle-for-cycle — the policy layer adds
-// observation, never perturbation.
+// observation, never perturbation. On the racy loop every instance fails
+// and re-executes serially, so the failure path is pinned too.
 func TestAdaptiveStaticMatchesPlainExecution(t *testing.T) {
-	mk := func() *Workload { return repeated(indepLoop(core.NonPriv, 64, 64, 100), 4) }
-	cfg := cfgFor(HW, 4)
+	const execs = 4
+	indep := func() *Workload { return repeated(indepLoop(core.NonPriv, 64, 64, 100), execs) }
+	racy := func() *Workload { return repeated(racyLoop(32), execs) }
+	cases := []struct {
+		name     string
+		mk       func() *Workload
+		mode     Mode
+		strategy policy.Strategy
+		fails    bool
+	}{
+		{"indep-hw", indep, HW, policy.HWNonPriv, false},
+		{"racy-hw", racy, HW, policy.HWNonPriv, true},
+		{"racy-sw", racy, SW, policy.SWLRPD, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := cfgFor(tc.mode, 4)
+			plain := MustExecute(tc.mk(), cfg)
 
-	plain := MustExecute(mk(), cfg)
+			acfg := cfg
+			acfg.Policy = policy.Adaptive // Director zero value = static baseline
+			ad := MustExecute(tc.mk(), acfg)
 
-	acfg := cfg
-	acfg.Policy = policy.Adaptive // Director zero value = static baseline
-	ad := MustExecute(mk(), acfg)
-
-	if ad.Cycles != plain.Cycles {
-		t.Fatalf("adaptive static = %d cycles, plain HW = %d", ad.Cycles, plain.Cycles)
-	}
-	if ad.Director != "static:hw-nonpriv" {
-		t.Fatalf("director name %q, want static:hw-nonpriv", ad.Director)
-	}
-	if len(ad.Decisions) != 4 {
-		t.Fatalf("got %d decisions, want 4", len(ad.Decisions))
-	}
-	for i, d := range ad.Decisions {
-		if d.Strategy != policy.HWNonPriv || d.Switched || d.Failed {
-			t.Fatalf("decision %d = %+v, want pinned clean hw-nonpriv", i, d)
-		}
-		if d.TouchedPermille != 1000 {
-			t.Fatalf("decision %d touched %d permille, want 1000 (dense loop)", i, d.TouchedPermille)
-		}
-	}
-	if ad.PolicySwitches != 0 || ad.PolicyMispredicts != 0 {
-		t.Fatalf("pinned director reported %d switches, %d mispredicts", ad.PolicySwitches, ad.PolicyMispredicts)
+			if ad.Cycles != plain.Cycles || ad.Breakdown != plain.Breakdown {
+				t.Fatalf("adaptive static = %d cycles %+v, plain = %d cycles %+v",
+					ad.Cycles, ad.Breakdown, plain.Cycles, plain.Breakdown)
+			}
+			if ad.Failures != plain.Failures || ad.MachineStats != plain.MachineStats {
+				t.Fatalf("adaptive static: %d failures, stats %+v; plain: %d failures, stats %+v",
+					ad.Failures, ad.MachineStats, plain.Failures, plain.MachineStats)
+			}
+			wantFails := 0
+			if tc.fails {
+				wantFails = execs
+			}
+			if plain.Failures != wantFails {
+				t.Fatalf("plain run failed %d instances, want %d", plain.Failures, wantFails)
+			}
+			if want := "static:" + tc.strategy.String(); ad.Director != want {
+				t.Fatalf("director name %q, want %q", ad.Director, want)
+			}
+			if len(ad.Decisions) != execs {
+				t.Fatalf("got %d decisions, want %d", len(ad.Decisions), execs)
+			}
+			for i, d := range ad.Decisions {
+				if d.Strategy != tc.strategy || d.Switched || d.Failed != tc.fails {
+					t.Fatalf("decision %d = %+v, want pinned %v with failed=%v", i, d, tc.strategy, tc.fails)
+				}
+				if !tc.fails && d.TouchedPermille != 1000 {
+					t.Fatalf("decision %d touched %d permille, want 1000 (dense loop)", i, d.TouchedPermille)
+				}
+			}
+			if ad.PolicySwitches != 0 || ad.PolicyMispredicts != wantFails {
+				t.Fatalf("pinned director reported %d switches, %d mispredicts", ad.PolicySwitches, ad.PolicyMispredicts)
+			}
+		})
 	}
 }
 
@@ -77,17 +106,27 @@ func TestAdaptiveStaticMatchesPlainExecution(t *testing.T) {
 // rejects.
 func TestAdaptiveValidation(t *testing.T) {
 	w := indepLoop(core.NonPriv, 16, 16, 10)
+	// A director may pick the SW strategy whatever the mode, so a
+	// schedule the processor-wise SW test cannot run is rejected under
+	// HW too.
+	pw := indepLoop(core.NonPriv, 16, 16, 10)
+	pw.SWProcWise = true
+	dyn := &sched.Config{Kind: sched.Dynamic, Chunk: 4}
 	cases := []struct {
 		name string
+		w    *Workload
 		cfg  Config
 		want string
 	}{
-		{"ideal", Config{Procs: 2, Mode: Ideal, Policy: policy.Adaptive}, "not Ideal"},
-		{"adaptive-after", Config{Procs: 2, Mode: HW, Policy: policy.Adaptive, AdaptiveAfter: 2}, "supersedes"},
-		{"director-without-policy", Config{Procs: 2, Mode: HW, Director: policy.Threshold}, "requires policy adaptive"},
+		{"ideal", w, Config{Procs: 2, Mode: Ideal, Policy: policy.Adaptive}, "not Ideal"},
+		{"adaptive-after", w, Config{Procs: 2, Mode: HW, Policy: policy.Adaptive, AdaptiveAfter: 2}, "supersedes"},
+		{"director-without-policy", w, Config{Procs: 2, Mode: HW, Director: policy.Threshold}, "requires policy adaptive"},
+		{"procwise-sw-strategy-dynamic", pw,
+			Config{Procs: 8, Mode: HW, SchedOverride: dyn, Policy: policy.Adaptive, Director: policy.Cost},
+			"requires static scheduling"},
 	}
 	for _, tc := range cases {
-		if _, err := Execute(w, tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if err := Validate(tc.w, tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: got %v, want error containing %q", tc.name, err, tc.want)
 		}
 	}

@@ -13,6 +13,7 @@ package run
 import (
 	"fmt"
 
+	"specrt/internal/arena"
 	"specrt/internal/core"
 	"specrt/internal/cpu"
 	"specrt/internal/directory"
@@ -344,19 +345,52 @@ func ExecuteWithProgress(w *Workload, cfg Config, progress ProgressFunc) (*Resul
 	if err := validate(w, cfg); err != nil {
 		return nil, err
 	}
+	var d policy.Director
 	if cfg.Policy == policy.Adaptive {
-		d, err := policy.New(cfg.Director, policy.Decision{Strategy: staticStrategy(w, cfg.Mode)})
+		var err error
+		d, err = policy.New(cfg.Director, policy.Decision{Strategy: staticStrategy(w, cfg.Mode)})
 		if err != nil {
 			return nil, err
 		}
-		return executeAdaptive(w, cfg, d, progress)
 	}
-	s := newSession(w, cfg)
+	return execute(w, cfg, d, progress), nil
+}
+
+// execute runs the instances of w under cfg, which validate admitted.
+// Without a director every instance runs on the one session built from
+// (w, cfg), and cfg.AdaptiveAfter may stop speculation (§2.2.4). With a
+// director each instance runs on the session of the strategy d picks
+// from the loop's history, built on first use (strategyVariant).
+func execute(w *Workload, cfg Config, d policy.Director, progress ProgressFunc) *Result {
 	res := &Result{
 		Workload: w.Name,
 		Mode:     cfg.Mode,
 		Procs:    cfg.Procs,
 		Verdicts: make(map[string]lrpd.Verdict),
+	}
+	// A run without a director uses sessions[0] only.
+	var sessions [policy.NumStrategies]*session
+	var hist *policy.History
+	var touched []*arena.Bits
+	totalTested := 0
+	if d == nil {
+		sessions[0] = newSession(w, cfg)
+	} else {
+		res.Director = d.Name()
+		baseChunk := w.HWSched.Chunk
+		if baseChunk <= 0 {
+			baseChunk = w.SWSched.Chunk
+		}
+		hist = policy.NewHistory(baseChunk)
+		// The variants renumber protocols but never change which arrays
+		// are tested, so one bitset per tested array serves them all.
+		touched = make([]*arena.Bits, len(w.Arrays))
+		for i, a := range w.Arrays {
+			if a.Test != core.Plain {
+				touched[i] = arena.NewBits(a.Elems)
+				totalTested += a.Elems
+			}
+		}
 	}
 	execs := w.Executions
 	if cfg.MaxExecutions > 0 && cfg.MaxExecutions < execs {
@@ -367,41 +401,104 @@ func ExecuteWithProgress(w *Workload, cfg Config, progress ProgressFunc) (*Resul
 	}
 	consecFails := 0
 	for exec := 0; exec < execs; exec++ {
-		if cfg.AdaptiveAfter > 0 && cfg.Mode != Serial &&
-			consecFails >= cfg.AdaptiveAfter {
-			// The loop keeps failing: stop speculating (§2.2.4).
+		s := sessions[0]
+		var dec policy.Decision
+		if d != nil {
+			dec = d.Decide(hist)
+			if sessions[dec.Strategy] == nil {
+				sessions[dec.Strategy] = newSession(strategyVariant(w, cfg, dec.Strategy))
+				sessions[dec.Strategy].polTouched = touched
+			}
+			s = sessions[dec.Strategy]
+			s.chunkOverride = dec.Chunk
+			for _, b := range touched {
+				if b != nil {
+					b.Reset()
+				}
+			}
+		}
+		cyclesBefore := res.Cycles
+		failsBefore := res.Failures + res.Exceptions
+		var copyOutBefore uint64
+		if s.ctl != nil {
+			copyOutBefore = s.ctl.Stats.CopyOuts
+		}
+
+		failed := false
+		if cfg.AdaptiveAfter > 0 && cfg.Mode != Serial && consecFails >= cfg.AdaptiveAfter {
+			// The loop keeps failing: stop speculating (§2.2.4) for the
+			// rest of the run.
 			cycles, bd := s.serialReexec(exec)
 			res.Cycles += cycles
 			res.Breakdown.Add(bd)
 			res.SerialFallbacks++
-			res.Executions++
-			if progress != nil {
-				progress(exec+1, execs)
-			}
-			continue
-		}
-		before := res.Failures + res.Exceptions
-		s.runOne(exec, res)
-		res.Executions++
-		if res.Failures+res.Exceptions > before {
-			consecFails++
 		} else {
-			consecFails = 0
+			s.runOne(exec, res)
+			failed = res.Failures+res.Exceptions > failsBefore
+			if failed {
+				consecFails++
+			} else {
+				consecFails = 0
+			}
+		}
+		res.Executions++
+
+		if d != nil {
+			instCycles := res.Cycles - cyclesBefore
+			hist.Record(policy.Outcome{Strategy: dec.Strategy, Failed: failed, Cycles: int64(instCycles)})
+			switched := exec > 0 && res.Decisions[exec-1].Strategy != dec.Strategy
+			if switched {
+				res.PolicySwitches++
+			}
+			if failed {
+				res.PolicyMispredicts++
+			}
+			var copyOutWords int64
+			if s.ctl != nil {
+				copyOutWords = int64(s.ctl.Stats.CopyOuts - copyOutBefore)
+			}
+			tp := 0
+			if totalTested > 0 {
+				n := 0
+				for _, b := range touched {
+					if b != nil {
+						n += b.Count()
+					}
+				}
+				tp = n * 1000 / totalTested
+			}
+			res.Decisions = append(res.Decisions, PolicyDecision{
+				Instance:        exec,
+				Strategy:        dec.Strategy,
+				Chunk:           dec.Chunk,
+				Cycles:          instCycles,
+				Failed:          failed,
+				TouchedPermille: tp,
+				CopyOutWords:    copyOutWords,
+				Switched:        switched,
+			})
 		}
 		if progress != nil {
 			progress(exec+1, execs)
 		}
 	}
-	res.MachineStats = s.m.Stats
-	if s.ctl != nil {
-		res.CoreStats = s.ctl.Stats
+
+	res.HomeQueue.MaxQueueHome = -1
+	for _, s := range sessions {
+		if s == nil {
+			continue
+		}
+		res.MachineStats.Add(s.m.Stats)
+		if s.ctl != nil {
+			res.CoreStats.Add(s.ctl.Stats)
+		}
+		res.NetStats.Add(s.m.Net.Stats())
+		res.HomeQueue.Add(s.m.HomeStats())
+		// Its stats are collected: hand the caches' frames back to
+		// their pool for the next session.
+		s.m.Release()
 	}
-	res.NetStats = s.m.Net.Stats()
-	res.HomeQueue = s.m.HomeStats()
-	// All stats are collected; hand the caches' frames back to their
-	// pool for the next Execute call.
-	s.m.Release()
-	return res, nil
+	return res
 }
 
 // MustExecute is Execute for known-good configurations.
@@ -493,13 +590,14 @@ func validate(w *Workload, cfg Config) error {
 			return fmt.Errorf("run: array %q has no elements", a.Name)
 		}
 	}
-	// Cache frames tag lines below the caches' address bound. An adaptive
-	// run may build a session for any strategy, so every variant must fit.
 	if cfg.Policy != policy.Adaptive {
+		// Cache frames tag lines below the caches' address bound.
 		return checkSpace(w, cfg)
 	}
+	// A director may pick any strategy, so admit every session the run
+	// can build.
 	for st := policy.Strategy(0); st < policy.NumStrategies; st++ {
-		if err := checkSpace(strategyVariant(w, cfg, st)); err != nil {
+		if err := validate(strategyVariant(w, cfg, st)); err != nil {
 			return err
 		}
 	}

@@ -1,7 +1,6 @@
 package run
 
 import (
-	"fmt"
 	"math"
 
 	"specrt/internal/arena"
@@ -251,11 +250,14 @@ func layoutSpace(sp *mem.Space, w *Workload, cfg Config, procs int, limit uint64
 			if a.Test == core.Priv {
 				l.swPriv[i] = make([]mem.Region, procs)
 			}
+			// Each processor's region of a kind shares one name: only
+			// mem's panic messages print it.
+			rd, wr, priv := a.Name+".rdsh", a.Name+".wrsh", a.Name+".priv"
 			for p := 0; p < procs; p++ {
-				l.swRd[i][p] = sp.Alloc(nameP(sp, a.Name, "rdsh", p), ne, 4, mem.Local, p)
-				l.swWr[i][p] = sp.Alloc(nameP(sp, a.Name, "wrsh", p), ne, 4, mem.Local, p)
+				l.swRd[i][p] = sp.Alloc(rd, ne, 4, mem.Local, p)
+				l.swWr[i][p] = sp.Alloc(wr, ne, 4, mem.Local, p)
 				if a.Test == core.Priv {
-					l.swPriv[i][p] = sp.Alloc(nameP(sp, a.Name, "priv", p), a.Elems, a.ElemSize, mem.Local, p)
+					l.swPriv[i][p] = sp.Alloc(priv, a.Elems, a.ElemSize, mem.Local, p)
 				}
 			}
 			l.swGlobal[i] = sp.Alloc(a.Name+".gsh", ne, 4, mem.RoundRobin, 0)
@@ -302,15 +304,6 @@ func (s *session) setupSW() {
 			s.swTouched[i] = arena.NewBits(s.procs * a.Elems)
 		}
 	}
-}
-
-// nameP names processor p's region of kind for array arr; a measuring
-// space keeps no names, so validate's pass formats none.
-func nameP(sp *mem.Space, arr, kind string, p int) string {
-	if sp.Measuring() {
-		return ""
-	}
-	return fmt.Sprintf("%s.%s%02d", arr, kind, p)
 }
 
 // resetSparse clears per-execution sparse-backup state (O(1) epoch
@@ -458,21 +451,19 @@ func (s *session) runOne(exec int, res *Result) {
 	res.Breakdown.Add(delta)
 }
 
-// serialReexec simulates the failed loop instance serially on a fresh
-// uniprocessor machine with local data, per the paper's accounting
-// ("plus the Serial time", §6.2).
+// serialReexec simulates instance exec serially on a fresh uniprocessor
+// machine with local data, per the paper's accounting ("plus the Serial
+// time", §6.2). Every re-execution gets a machine of its own: one kept
+// across re-executions would carry state, such as its memory servers'
+// backlog, from one instance into the next.
 func (s *session) serialReexec(exec int) (sim.Time, cpu.Breakdown) {
-	w1 := &Workload{
-		Name:       s.w.Name + ".reexec",
-		Executions: 1,
-		Iterations: func(int) int { return s.w.Iterations(exec) },
-		Arrays:     s.w.Arrays,
-		Body:       func(_, iter int, c *Ctx) { s.w.Body(exec, iter, c) },
-	}
-	r := MustExecute(w1, Config{Procs: 1, Mode: Serial, Contention: s.cfg.Contention,
+	r := newSession(s.w, Config{Procs: 1, Mode: Serial, Contention: s.cfg.Contention,
 		Topology: s.cfg.Topology, L1Bytes: s.cfg.L1Bytes, L2Bytes: s.cfg.L2Bytes,
 		NoFastPath: s.cfg.NoFastPath})
-	return r.Cycles, r.Breakdown
+	var res Result
+	r.runOne(exec, &res)
+	r.m.Release()
+	return res.Cycles, res.Breakdown
 }
 
 // markIteration marks the accesses the iteration-wise test buffered

@@ -323,22 +323,23 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// Resolve and validate up front so admission errors are 400s, not
-	// failed jobs.
-	wl, cfg, err := harness.ResolveJob(spec, s.opts.Scale)
-	if err != nil {
-		s.metrics.badRequest.Add(1)
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if err := run.Validate(wl, cfg); err != nil {
-		s.metrics.badRequest.Add(1)
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-
 	tenant := tenantOf(r)
 	key := spec.Key()
+	// A cached key was admitted when it was first simulated. A miss is
+	// resolved and validated up front so admission errors are 400s, not
+	// failed jobs.
+	result, cached := s.cache.get(key)
+	if !cached {
+		wl, cfg, err := harness.ResolveJob(spec, s.opts.Scale)
+		if err == nil {
+			err = run.Validate(wl, cfg)
+		}
+		if err != nil {
+			s.metrics.badRequest.Add(1)
+			writeError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+	}
 
 	s.mu.Lock()
 	if s.draining {
@@ -348,9 +349,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
+	if !cached {
+		// The job may have finished since the lookup above.
+		result, cached = s.cache.get(key)
+	}
 	// Cache hits bypass the queue and tenant accounting entirely: no
 	// simulation happens, so there is nothing to bound.
-	if result, ok := s.cache.get(key); ok {
+	if cached {
 		id := s.newJobIDLocked()
 		j := &job{
 			id: id, tenant: tenant, spec: spec, key: key,

@@ -99,6 +99,10 @@ func TestSubmitBadRequests(t *testing.T) {
 		{"bad policy", JobRequest{Workload: "Track", Mode: "hw", Procs: 4, Policy: "magic"}},
 		{"bad director", JobRequest{Workload: "Track", Mode: "hw", Procs: 4, Policy: "adaptive", Director: "oracle"}},
 		{"director without policy", JobRequest{Workload: "Track", Mode: "hw", Procs: 4, Director: "threshold"}},
+		// Ocean's SW test is processor-wise: the SW strategy a director
+		// may pick cannot run a dynamic schedule.
+		{"adaptive sw strategy under dynamic sched", JobRequest{Workload: "Ocean", Mode: "hw", Procs: 8,
+			Sched: "dynamic:4", Policy: "adaptive", Director: "cost"}},
 		{"not json", "]"},
 	}
 	for _, tc := range cases {
