@@ -24,7 +24,6 @@ import (
 
 	"specrt/internal/cache"
 	"specrt/internal/core"
-	"specrt/internal/cpu"
 	"specrt/internal/directory"
 	"specrt/internal/harness"
 	"specrt/internal/interconnect"
@@ -320,60 +319,6 @@ func BenchmarkNonPrivReadHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Read(0, r.ElemAddr(0))
-	}
-}
-
-// BenchmarkFusedHits is the fuse-batch layer: one processor's batch of
-// loads, stores and compute on an armed non-privatized array, every
-// access a pure hit (the lines are dirty and this processor is First on
-// every element), run through cpu.System with the fast path on. With
-// one processor no other event bounds the horizon, so an op is one
-// fused run of the whole batch.
-func BenchmarkFusedHits(b *testing.B) {
-	const elems = 64 // four 64-byte lines
-	m := benchMachine(1)
-	c := core.NewController(m)
-	r := m.Space.Alloc("A", elems, 4, mem.Local, 0)
-	c.AddNonPriv(r)
-	c.Arm()
-	var batch []cpu.Instr
-	for e := 0; e < elems; e++ {
-		if _, err := c.Write(0, r.ElemAddr(e)); err != nil {
-			b.Fatal(err)
-		}
-		batch = append(batch, cpu.Load(r.ElemAddr(e)), cpu.Compute(2), cpu.Store(r.ElemAddr(e)))
-	}
-	sys := cpu.NewSystem(m, c)
-	sys.FastPath = true
-	handed := false
-	srcs := []cpu.Source{func(*cpu.Proc) []cpu.Instr {
-		if handed {
-			return nil
-		}
-		handed = true
-		return batch
-	}}
-	ids := []int{0}
-	run := func() {
-		handed = false
-		sys.Run(ids, srcs)
-	}
-	// Each op advances the clock by a few hundred cycles; the first pass
-	// over the timing wheel's buckets grows them, so warm them all
-	// outside the timed loop (the wheel spans 16,384 cycles).
-	for i := 0; i < 128; i++ {
-		run()
-	}
-	before := m.Stats
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		run()
-	}
-	b.StopTimer()
-	if after := m.Stats; after.L1Hits-before.L1Hits != uint64(b.N)*2*elems || after.Messages != before.Messages ||
-		after.Fetch2Hop != before.Fetch2Hop || c.Failed() != nil {
-		b.Fatalf("batch left the pure-hit arms: stats %+v -> %+v, failure %v", before, after, c.Failed())
 	}
 }
 

@@ -8,10 +8,7 @@
 // Experiment cells are independent deterministic simulations; -parallel
 // (default: all host cores) bounds how many run at once. Output is
 // byte-identical at every parallelism level. -cpuprofile/-memprofile
-// write pprof profiles for hot-path work. -nofastpath pins
-// per-instruction stepped execution — the batched fast path is exact,
-// so the output bytes do not change, only the wall-clock time (CI
-// asserts the identity every run).
+// write pprof profiles for hot-path work.
 //
 // -topology selects the interconnect model (ideal reproduces the
 // paper's flat hop cost; bus, crossbar and mesh add link queueing; an
@@ -57,7 +54,6 @@ func main() {
 	placeFlag := flag.String("placement", "round-robin", "page placement: round-robin, blocked or local")
 	dirFlag := flag.String("dirmode", "full-map", "directory sharer representation: full-map or coarse")
 	procsFlag := flag.Int("procs", 0, "wide command: largest processor count of the scaling ladder (0 = 1024); job command: processor count")
-	noFastPath := flag.Bool("nofastpath", false, "pin per-instruction stepped execution (disable the batched fast path; output is byte-identical either way)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	serverFlag := flag.String("server", "", "job command: specrtd base URL (empty = execute locally)")
@@ -98,7 +94,6 @@ func main() {
 	h.MeshW, h.MeshH = ncfg.MeshW, ncfg.MeshH
 	h.Placement = place
 	h.DirMode = dirMode
-	h.NoFastPath = *noFastPath
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)

@@ -292,17 +292,6 @@ func (c *Cache) Lookup(a mem.Addr) *Frame {
 	return nil
 }
 
-// SetOccupant returns the frame a's set currently holds, whatever line
-// it caches, or nil when the frame is empty: the line Install would
-// displace, asked without touching statistics or state.
-func (c *Cache) SetOccupant(a mem.Addr) *Frame {
-	fr := &c.frames[c.set(c.lineNum(a))]
-	if fr.tag == 0 {
-		return nil
-	}
-	return fr
-}
-
 // Bits returns the access-bit window of fr, a valid frame of this cache,
 // or nil when the line carries no bits yet. The slice aliases the frame's
 // window: writes through it update the line's bits in place.

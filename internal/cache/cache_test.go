@@ -297,16 +297,10 @@ func TestFramePacking(t *testing.T) {
 				}
 			}
 			miss("in an empty cache")
-			if c.SetOccupant(line) != nil {
-				t.Fatalf("line %#x: empty set has an occupant", line)
-			}
 			c.Install(line+lb-1, st, nil)
 			fr := c.Lookup(line + 4)
 			if fr == nil || c.Tag(fr) != line || fr.State() != st {
 				t.Fatalf("line %#x: Install(%v) then Lookup = %+v", line, st, fr)
-			}
-			if c.SetOccupant(alias) != fr {
-				t.Fatalf("line %#x: SetOccupant of the aliasing line is not the frame", line)
 			}
 			for _, a := range []mem.Addr{alias, line + maxAddr} {
 				if _, ok := c.Invalidate(a); ok {
@@ -321,9 +315,6 @@ func TestFramePacking(t *testing.T) {
 			old, ok = c.Invalidate(line)
 			want("Invalidate", old, ok, Clean)
 			miss("after Invalidate")
-			if c.SetOccupant(line) != nil {
-				t.Fatalf("line %#x: invalidated set has an occupant", line)
-			}
 
 			c.Install(line, Clean, nil)
 			c.Lookup(line).SetState(st)

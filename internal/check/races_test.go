@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"specrt/internal/core"
+	"specrt/internal/cpu"
 	"specrt/internal/machine"
 	"specrt/internal/mem"
 	"specrt/internal/sim"
@@ -383,5 +384,115 @@ func TestInjectedFlipCaughtByChecker(t *testing.T) {
 	}
 	if err := env.chk.Err(); err == nil {
 		t.Fatal("checker missed the injected first-vs-write-flip corruption")
+	}
+}
+
+// runOnProcessors executes the stream's per-processor subsequences (each
+// processor's program order preserved, interleaving decided by the
+// simulated timing) through a full processor system on a fresh machine
+// with the stream's protocol armed, and reports the abort's failure, if
+// any.
+func runOnProcessors(t *testing.T, s *Stream) (aborted bool, failure *core.Failure) {
+	t.Helper()
+	if err := s.Validate(); err != nil {
+		t.Fatalf("invalid stream: %v", err)
+	}
+	cfg := machine.DefaultConfig(s.Procs)
+	cfg.Contention = false
+	m := machine.MustNew(cfg)
+	c := core.NewController(m)
+	r := m.Space.Alloc("A", s.Elems, s.ElemSize, mem.RoundRobin, 0)
+	if s.Priv {
+		c.AddPriv(r, core.PrivCopies(m.Space, r, m.Cfg.Procs), s.RICO)
+	} else {
+		c.AddNonPriv(r)
+	}
+	c.Arm()
+
+	perProc := make([][]cpu.Instr, s.Procs)
+	curIter := make([]int, s.Procs)
+	for _, a := range s.Accesses {
+		p := a.Proc
+		if s.Priv && curIter[p] != a.Iter {
+			curIter[p] = a.Iter
+			perProc[p] = append(perProc[p], cpu.BeginIter(a.Iter))
+		}
+		if a.Write {
+			perProc[p] = append(perProc[p], cpu.Store(r.ElemAddr(a.Elem)))
+		} else {
+			perProc[p] = append(perProc[p], cpu.Load(r.ElemAddr(a.Elem)))
+		}
+		perProc[p] = append(perProc[p], cpu.Compute(3))
+	}
+	ids := make([]int, s.Procs)
+	srcs := make([]cpu.Source, s.Procs)
+	for p := range ids {
+		ids[p] = p
+		srcs[p] = cpu.SliceSource(perProc[p])
+	}
+	sys := cpu.NewSystem(m, c)
+	sys.Run(ids, srcs)
+	failure, aborted = sys.Aborted()
+	return aborted, failure
+}
+
+// TestRaceMatrixOnProcessors runs the §3.2 race archetypes, and two
+// privatization shapes, through full processor systems: the racy shapes
+// abort, with the verdict of the LRPD oracle, and the others complete.
+func TestRaceMatrixOnProcessors(t *testing.T) {
+	np := func(acc ...Access) *Stream {
+		return &Stream{Procs: 2, Elems: 32, ElemSize: 4, Accesses: acc}
+	}
+	pv := func(acc ...Access) *Stream {
+		return &Stream{Procs: 2, Elems: 32, ElemSize: 4, Priv: true, Accesses: acc}
+	}
+	cases := []struct {
+		name  string
+		abort bool
+		s     *Stream
+	}{
+		{"concurrent-first-reads", false, np(
+			Access{Proc: 0, Elem: 5}, Access{Proc: 1, Elem: 5},
+			Access{Proc: 0, Elem: 5}, Access{Proc: 1, Elem: 5},
+		)},
+		{"read-only-sharing", false, np(
+			Access{Proc: 0, Elem: 1}, Access{Proc: 1, Elem: 1},
+			Access{Proc: 0, Elem: 2}, Access{Proc: 1, Elem: 2},
+			Access{Proc: 1, Elem: 1}, Access{Proc: 0, Elem: 2},
+		)},
+		{"first-update-vs-write", true, np(
+			Access{Proc: 0, Elem: 7},
+			Access{Proc: 1, Elem: 7, Write: true},
+			Access{Proc: 0, Elem: 7},
+		)},
+		{"ronly-vs-write", true, np(
+			Access{Proc: 0, Elem: 3}, Access{Proc: 1, Elem: 3},
+			Access{Proc: 1, Elem: 3, Write: true},
+		)},
+		{"disjoint-writes", false, np(
+			Access{Proc: 0, Elem: 0, Write: true}, Access{Proc: 1, Elem: 16, Write: true},
+			Access{Proc: 0, Elem: 1, Write: true}, Access{Proc: 1, Elem: 17, Write: true},
+			Access{Proc: 0, Elem: 0}, Access{Proc: 1, Elem: 16},
+		)},
+		{"priv-write-then-read", false, pv(
+			Access{Proc: 0, Iter: 1, Elem: 4, Write: true}, Access{Proc: 0, Iter: 1, Elem: 4},
+			Access{Proc: 1, Iter: 2, Elem: 4, Write: true}, Access{Proc: 1, Iter: 2, Elem: 4},
+		)},
+		{"priv-cross-iter-war", true, pv(
+			Access{Proc: 0, Iter: 1, Elem: 9},
+			Access{Proc: 1, Iter: 2, Elem: 9, Write: true},
+			Access{Proc: 0, Iter: 1, Elem: 9},
+		)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			aborted, f := runOnProcessors(t, tc.s)
+			if aborted != tc.abort || aborted != tc.s.ExpectedFail() {
+				t.Fatalf("aborted=%v, want %v, oracle %v (failure: %v)", aborted, tc.abort, tc.s.ExpectedFail(), f)
+			}
+			if aborted && f == nil {
+				t.Fatal("aborted without a recorded failure")
+			}
+		})
 	}
 }

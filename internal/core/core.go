@@ -424,8 +424,7 @@ func (c *Controller) Read(p int, a mem.Addr) (sim.Time, error) {
 	if arr == nil {
 		return c.M.Read(p, a), nil
 	}
-	lat, _, err := c.access(arr, p, a, false, false)
-	return lat, err
+	return c.access(arr, p, a, false)
 }
 
 // Write performs a store by processor p to address a under the selected
@@ -436,47 +435,20 @@ func (c *Controller) Write(p int, a mem.Addr) (sim.Time, error) {
 	if arr == nil {
 		return c.M.Write(p, a), nil
 	}
-	lat, _, err := c.access(arr, p, a, true, false)
-	return lat, err
+	return c.access(arr, p, a, true)
 }
 
-// TryRead performs a read only when it is a pure hit, for the execution
-// fast path (internal/cpu): one that hits in p's own hierarchy, neither
-// fails nor sends a message to a directory, and whose latency does not
-// depend on the simulated time. It may still flip tag bits or update p's
-// private directory, local effects the stepped path makes identically.
-// ok=false performs and counts nothing.
-func (c *Controller) TryRead(p int, a mem.Addr) (sim.Time, bool) {
-	arr := c.lookupArmed(a)
-	if arr == nil {
-		return c.M.TryFastRead(p, a)
-	}
-	lat, ok, _ := c.access(arr, p, a, false, true)
-	return lat, ok
-}
-
-// TryWrite is TryRead's store counterpart.
-func (c *Controller) TryWrite(p int, a mem.Addr) (sim.Time, bool) {
-	arr := c.lookupArmed(a)
-	if arr == nil {
-		return c.M.TryFastWrite(p, a)
-	}
-	lat, ok, _ := c.access(arr, p, a, true, true)
-	return lat, ok
-}
-
-// access dispatches an access to an armed array to its protocol. A pure
-// access never fails: a hit that would is not pure.
-func (c *Controller) access(arr *Array, p int, a mem.Addr, write, pure bool) (sim.Time, bool, error) {
+// access dispatches an access to an armed array to its protocol.
+func (c *Controller) access(arr *Array, p int, a mem.Addr, write bool) (sim.Time, error) {
 	switch {
 	case arr.Proto == NonPriv && write:
-		return c.npWrite(arr, p, a, pure)
+		return c.npWrite(arr, p, a)
 	case arr.Proto == NonPriv:
-		return c.npRead(arr, p, a, pure)
+		return c.npRead(arr, p, a)
 	case write:
-		return c.pvWrite(arr, p, a, pure)
+		return c.pvWrite(arr, p, a)
 	}
-	return c.pvRead(arr, p, a, pure)
+	return c.pvRead(arr, p, a)
 }
 
 func (c *Controller) lookupArmed(a mem.Addr) *Array {

@@ -17,29 +17,24 @@ import (
 // and therefore race, with the resolution arms of Figure 7.
 
 // npRead implements "Processor read" (Figure 6-(a)) and, on a miss, "Home
-// receives read request" (Figure 6-(b)). A hit is pure unless it FAILs or
-// changes a clean line's tag, which sends First_update or ROnly_update to
-// the home; a tag change on a dirty line tells the directory nothing
-// until writeback. Under pure, anything else returns ok=false before its
-// first side effect.
-func (c *Controller) npRead(arr *Array, p int, a mem.Addr, pure bool) (sim.Time, bool, error) {
+// receives read request" (Figure 6-(b)). A hit that changes a clean
+// line's tag sends First_update or ROnly_update to the home; a tag change
+// on a dirty line tells the directory nothing until writeback.
+func (c *Controller) npRead(arr *Array, p int, a mem.Addr) (sim.Time, error) {
 	e := c.grain(arr.Region, arr.Region.ElemIndex(a))
 	wi := wordIndexOf(arr.Region, e, c.M.LineBytes())
 
-	fr, cc := c.M.Lookup(p, a, pure)
+	fr, cc := c.M.Lookup(p, a)
 	w := wordOf(cc, fr, wi)
 	failArm := w.First() == abits.FirstOther && w.NoShr()
 	claim := w.First() == abits.FirstNone || w.First() == abits.FirstOther && !w.ROnly()
-	if pure && (fr == nil || failArm || claim && fr.State() != cache.Dirty) {
-		return 0, false, nil
-	}
 	c.Stats.NonPrivReads++
 	if fr, lat := c.M.Take(p, a, fr, cc); fr != nil {
 		// Only the claiming arms write the tag; any other arm found the
 		// word set, so the line already has bits.
 		switch {
 		case failArm:
-			return lat, true, c.fail(FailReadOfWritten, arr, e, p, c.curIter[p])
+			return lat, c.fail(FailReadOfWritten, arr, e, p, c.curIter[p])
 		case w.First() == abits.FirstNone:
 			bits := c.M.Procs[p].L1.EnsureBits(fr)
 			bits[wi] = w.WithFirst(abits.FirstOwn)
@@ -55,7 +50,7 @@ func (c *Controller) npRead(arr *Array, p int, a mem.Addr, pure bool) (sim.Time,
 				c.sendROnlyUpdate(arr, p, e)
 			}
 		}
-		return lat, true, nil
+		return lat, nil
 	}
 
 	// Miss: the read request is serviced at the home directory
@@ -79,29 +74,26 @@ func (c *Controller) npRead(arr *Array, p int, a mem.Addr, pure bool) (sim.Time,
 		}
 		return c.npLineBits(arr, p, line), nil
 	})
-	return lat, true, err
+	return lat, err
 }
 
 // npWrite implements "Processor write" (Figure 6-(c)) and, at the home,
-// "Home receives write request" (Figure 6-(d)). Only a dirty hit whose
-// tag cannot FAIL is pure: the tag becomes OWN+NoShr locally and the
-// directory learns of it at writeback.
-func (c *Controller) npWrite(arr *Array, p int, a mem.Addr, pure bool) (sim.Time, bool, error) {
+// "Home receives write request" (Figure 6-(d)). A dirty hit whose tag
+// cannot FAIL becomes OWN+NoShr locally, and the directory learns of it
+// at writeback.
+func (c *Controller) npWrite(arr *Array, p int, a mem.Addr) (sim.Time, error) {
 	e := c.grain(arr.Region, arr.Region.ElemIndex(a))
 	wi := wordIndexOf(arr.Region, e, c.M.LineBytes())
 	procLat := c.M.Cfg.Lat.L1Hit // writes do not stall the processor
 
-	fr, cc := c.M.Lookup(p, a, pure)
+	fr, cc := c.M.Lookup(p, a)
 	w := wordOf(cc, fr, wi)
 	failArm := w.First() == abits.FirstOther || w.ROnly()
-	if pure && (fr == nil || failArm || fr.State() != cache.Dirty) {
-		return 0, false, nil
-	}
 	c.Stats.NonPrivWrites++
 	if fr, _ := c.M.Take(p, a, fr, cc); fr != nil {
 		bits := c.M.Procs[p].L1.EnsureBits(fr)
 		if failArm {
-			return procLat, true, c.fail(FailWriteOfShared, arr, e, p, c.curIter[p])
+			return procLat, c.fail(FailWriteOfShared, arr, e, p, c.curIter[p])
 		}
 		if fr.State() == cache.Clean {
 			// Upgrade: the write request is serviced at the home
@@ -109,7 +101,7 @@ func (c *Controller) npWrite(arr *Array, p int, a mem.Addr, pure bool) (sim.Time
 			lat, err := c.M.FetchWrite(p, a, c.npHomeWrite(arr, p, e, a))
 			procLat = c.M.WriteProcLatency(lat)
 			if err != nil {
-				return procLat, true, err
+				return procLat, err
 			}
 			fr = c.M.Procs[p].L1.Lookup(c.M.LineAddr(a))
 			bits = c.M.Procs[p].L1.EnsureBits(fr)
@@ -118,11 +110,11 @@ func (c *Controller) npWrite(arr *Array, p int, a mem.Addr, pure bool) (sim.Time
 		// tag.First = OWN, tag.NoShr = 1; the line is dirty, so there
 		// is no need to tell the directory.
 		bits[wi] = w.WithFirst(abits.FirstOwn).WithNoShr(true)
-		return procLat, true, nil
+		return procLat, nil
 	}
 
 	lat, err := c.M.FetchWrite(p, a, c.npHomeWrite(arr, p, e, a))
-	return c.M.WriteProcLatency(lat), true, err
+	return c.M.WriteProcLatency(lat), err
 }
 
 // npHomeWrite builds the home-side visit for a write request

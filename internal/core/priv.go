@@ -17,23 +17,18 @@ import (
 // start of each iteration.
 
 // pvRead implements "Processor read" (Figure 8-(a)) with the private-
-// directory read path (Figure 8-(c)) on a miss, including read-in. A hit
-// is pure once the word is marked Read1st or Write in this iteration;
-// the first touch of an iteration signals the directory. Under pure,
-// anything else returns ok=false before its first side effect.
-func (c *Controller) pvRead(arr *Array, p int, a mem.Addr, pure bool) (sim.Time, bool, error) {
+// directory read path (Figure 8-(c)) on a miss, including read-in. The
+// first touch of a word in an iteration signals the directory.
+func (c *Controller) pvRead(arr *Array, p int, a mem.Addr) (sim.Time, error) {
 	e := arr.Region.ElemIndex(a)
 	iter := c.curIter[p]
 	priv := arr.Priv[p]
 	pa := priv.ElemAddr(e)
 	wi := wordIndexOf(priv, e, c.M.LineBytes())
 
-	fr, cc := c.M.Lookup(p, pa, pure)
+	fr, cc := c.M.Lookup(p, pa)
 	w := wordOf(cc, fr, wi)
 	first := !w.Read1st() && !w.Write()
-	if pure && (fr == nil || first) {
-		return 0, false, nil
-	}
 	c.Stats.PrivReads++
 	if fr, lat := c.M.Take(p, pa, fr, cc); fr != nil {
 		if first {
@@ -49,7 +44,7 @@ func (c *Controller) pvRead(arr *Array, p int, a mem.Addr, pure bool) (sim.Time,
 			arr.pMaxR1st.Set(arr.pIdx(p, e), iter)
 			c.sendReadFirst(arr, p, e, iter)
 		}
-		return lat, true, nil
+		return lat, nil
 	}
 
 	// Miss: the private directory services the read request
@@ -91,16 +86,13 @@ func (c *Controller) pvRead(arr *Array, p int, a mem.Addr, pure bool) (sim.Time,
 	if readIn {
 		lat += c.M.ChargeHomeTransfer(p, arr.Region.ElemAddr(e))
 	}
-	return lat, true, err
+	return lat, err
 }
 
 // pvWrite implements "Processor write" (Figure 9-(f)) with the private-
 // directory write path (Figure 9-(h)) on a miss, including read-in for
-// write. A dirty hit is pure unless it is the processor's very first
-// write to the element (pMaxW still zero with no completed-epoch write),
-// which sends a first-write signal to the shared directory. Under pure,
-// anything else returns ok=false before its first side effect.
-func (c *Controller) pvWrite(arr *Array, p int, a mem.Addr, pure bool) (sim.Time, bool, error) {
+// write.
+func (c *Controller) pvWrite(arr *Array, p int, a mem.Addr) (sim.Time, error) {
 	e := arr.Region.ElemIndex(a)
 	iter := c.curIter[p]
 	priv := arr.Priv[p]
@@ -108,12 +100,8 @@ func (c *Controller) pvWrite(arr *Array, p int, a mem.Addr, pure bool) (sim.Time
 	wi := wordIndexOf(priv, e, c.M.LineBytes())
 	procLat := c.M.Cfg.Lat.L1Hit
 
-	fr, cc := c.M.Lookup(p, pa, pure)
+	fr, cc := c.M.Lookup(p, pa)
 	w := wordOf(cc, fr, wi)
-	if pure && (fr == nil || fr.State() != cache.Dirty ||
-		!w.Write() && arr.pMaxW.Get(arr.pIdx(p, e)) == 0 && !arr.pvWroteEver(p, e)) {
-		return 0, false, nil
-	}
 	c.Stats.PrivWrites++
 	if fr, _ := c.M.Take(p, pa, fr, cc); fr != nil {
 		if fr.State() == cache.Clean {
@@ -122,7 +110,7 @@ func (c *Controller) pvWrite(arr *Array, p int, a mem.Addr, pure bool) (sim.Time
 			lat, err := c.M.FetchWrite(p, pa, nil)
 			procLat = c.M.WriteProcLatency(lat)
 			if err != nil {
-				return procLat, true, err
+				return procLat, err
 			}
 			fr = c.M.Procs[p].L1.Lookup(c.M.LineAddr(pa))
 		}
@@ -134,7 +122,7 @@ func (c *Controller) pvWrite(arr *Array, p int, a mem.Addr, pure bool) (sim.Time
 			bits[wi] = w.WithWrite(true)
 			c.pvPrivateFirstWrite(arr, p, e, iter)
 		}
-		return procLat, true, nil
+		return procLat, nil
 	}
 
 	// Miss: the private directory services the write request
@@ -180,7 +168,7 @@ func (c *Controller) pvWrite(arr *Array, p int, a mem.Addr, pure bool) (sim.Time
 	if readIn {
 		c.M.ChargeHomeTransfer(p, arr.Region.ElemAddr(e))
 	}
-	return c.M.WriteProcLatency(wlat), true, err
+	return c.M.WriteProcLatency(wlat), err
 }
 
 // pvPrivateFirstWrite is the private directory's first-write handler

@@ -137,8 +137,6 @@ type Proc struct {
 	sys     *System
 
 	// q is the current batch and qh the index of its next instruction.
-	// The fused path puts back an instruction it cannot run inline with
-	// qh--, so the stepped path picks it up at the right simulated time.
 	q  []Instr
 	qh int
 	// stepFn is the processor's step closure, bound once at system
@@ -177,15 +175,6 @@ type System struct {
 	M     *machine.Machine
 	Ctl   *core.Controller
 	Costs SyncCosts
-
-	// FastPath enables local-horizon batched execution: runs of compute
-	// and pure cache hits execute inline in one event instead of one
-	// event each. The horizon rules in fuse() make the fused
-	// schedule cycle-exact with per-instruction stepping, so results are
-	// byte-identical either way; the run layer turns it off for
-	// invariant-checked executions and via run.Config.NoFastPath, and it
-	// self-disables whenever the engine has an order policy installed.
-	FastPath bool
 
 	Procs []*Proc
 
@@ -325,9 +314,8 @@ func (s *System) finish(p *Proc) {
 	}
 }
 
-// step runs when a processor's next instruction is due: it executes one
-// instruction — or, on the fast path, a whole run of locally
-// deterministic ones — and schedules the step for whatever follows.
+// step runs when a processor's next instruction is due: it executes that
+// one instruction and schedules the step for whatever follows.
 func (s *System) step(p *Proc) {
 	if p.Done || p.blocked {
 		return
@@ -341,102 +329,10 @@ func (s *System) step(p *Proc) {
 		s.finish(p)
 		return
 	}
-	if s.FastPath && !s.M.Eng.OrderPolicyActive() && s.fuse(p, in) {
-		return
-	}
 	s.exec1(p, in)
 }
 
-// fuse executes a local-horizon run starting with `first` and reports
-// whether it handled it (false: nothing was consumed or performed; the
-// caller runs the stepped path).
-//
-// Exactness argument. In stepped mode, instruction i of the run executes
-// inside an event at its issue time T_i, and T_{i+1} = T_i + lat_i. A
-// fused instruction is locally deterministic — it schedules nothing,
-// reads nothing time-dependent, and cannot fail — so while the fused run
-// executes, no event executes and none is added: the earliest pending event
-// time (`limit`) is constant, computed once up front. Fusing instruction
-// i is allowed only while T_i < limit (the first instruction is exempt:
-// this step event IS its issue at T_0 = now). That guarantees every
-// fused instruction would have issued before any pending event in
-// stepped mode — including an abort: aborts originate from events, which
-// all lie at or beyond limit, so a speculation failure lands exactly
-// between the fused run and the single follow-up step scheduled at its
-// end, where the stepped schedule would also have put it. Cycle
-// accounting per instruction is byte-for-byte the stepped arithmetic,
-// and a fused access runs the same hit arm as a stepped one (the
-// protocol's access function, stopping before its first side effect
-// when the arm is not pure), so stats and tag-bit state match too.
-func (s *System) fuse(p *Proc, first Instr) bool {
-	eng := s.M.Eng
-	limit, bounded := eng.PeekTime()
-	end := eng.Now()
-	if bounded && limit-end < 2 {
-		// Another event is due within a cycle (processors running in
-		// lockstep): no second instruction can fit before the limit, so a
-		// fused run would hold exactly one instruction — all fusing
-		// overhead, no saved events. Step instead.
-		return false
-	}
-	lat, ok := s.fuseOne(p, first)
-	if !ok {
-		return false
-	}
-	end += lat
-	for {
-		if bounded && end >= limit {
-			break
-		}
-		in, ok := p.next()
-		if !ok {
-			// Source exhausted: the step below observes it at the run's
-			// end time and finishes the processor, as stepped mode would.
-			break
-		}
-		lat, ok := s.fuseOne(p, in)
-		if !ok {
-			p.qh-- // the stepped path runs it at its issue time
-			break
-		}
-		end += lat
-	}
-	eng.At(end, p.stepFn)
-	return true
-}
-
-// fuseOne performs one instruction inline if it is locally deterministic, returning the latency to advance the virtual clock
-// by. ok=false leaves the instruction unperformed and uncounted.
-func (s *System) fuseOne(p *Proc, in Instr) (sim.Time, bool) {
-	switch in.Kind {
-	case KCompute:
-		p.Instrs[KCompute]++
-		p.B.Busy += in.Cycles
-		return in.Cycles, true
-
-	case KLoad:
-		lat, ok := s.tryRead(p.ID, in.Addr)
-		if !ok {
-			return 0, false
-		}
-		p.Instrs[KLoad]++
-		s.accountMem(p, lat)
-		return lat, true
-
-	case KStore:
-		lat, ok := s.tryWrite(p.ID, in.Addr)
-		if !ok {
-			return 0, false
-		}
-		p.Instrs[KStore]++
-		s.accountMem(p, lat)
-		return lat, true
-	}
-	return 0, false
-}
-
-// accountMem splits a memory access latency into Busy and Mem, for the
-// stepped and fused paths alike.
+// accountMem splits a memory access latency into Busy and Mem.
 func (s *System) accountMem(p *Proc, lat sim.Time) {
 	busy := lat
 	if busy > s.M.Cfg.Lat.L1Hit {
@@ -446,25 +342,7 @@ func (s *System) accountMem(p *Proc, lat sim.Time) {
 	p.B.Mem += lat - busy
 }
 
-// tryRead/tryWrite perform an access for the fast path only when it is
-// a pure hit, through the controller or the plain machine; ok=false
-// leaves it unperformed for the stepped path.
-func (s *System) tryRead(p int, a mem.Addr) (sim.Time, bool) {
-	if s.Ctl != nil {
-		return s.Ctl.TryRead(p, a)
-	}
-	return s.M.TryFastRead(p, a)
-}
-
-func (s *System) tryWrite(p int, a mem.Addr) (sim.Time, bool) {
-	if s.Ctl != nil {
-		return s.Ctl.TryWrite(p, a)
-	}
-	return s.M.TryFastWrite(p, a)
-}
-
-// exec1 executes one instruction of p on the stepped path and schedules
-// the next step.
+// exec1 executes one instruction of p and schedules the next step.
 func (s *System) exec1(p *Proc, in Instr) {
 	p.Instrs[in.Kind]++
 	eng := s.M.Eng

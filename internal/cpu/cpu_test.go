@@ -7,7 +7,6 @@ import (
 	"specrt/internal/core"
 	"specrt/internal/machine"
 	"specrt/internal/mem"
-	"specrt/internal/sim"
 )
 
 func newSys(t *testing.T, procs int, withCtl bool) (*System, *machine.Machine) {
@@ -371,46 +370,35 @@ func TestLockStateResetsBetweenRuns(t *testing.T) {
 }
 
 func TestBatchSourceContract(t *testing.T) {
-	// Two batches whose fused run crosses the batch boundary and stops
-	// partway through the second batch at a lock, and whose last fused
-	// run meets the closing empty batch: the stepped and fused paths must
-	// account the same instructions and cycles, and both must ask the
-	// source once per batch plus once for the empty one.
-	run := func(fast bool) (*Proc, sim.Time, int, uint64) {
-		s, m := newSys(t, 1, false)
-		s.FastPath = fast
-		a := m.Space.Alloc("A", 64, 4, mem.Local, 0).ElemAddr(0)
-		batches := [][]Instr{
-			{Load(a), Compute(3), Load(a), Compute(2)}, // miss, then an L1 hit
-			{Compute(4), LockAcq(1), Compute(5), LockRel(1), Compute(6)},
+	// Two batches, the second with a lock in the middle, then the closing
+	// empty batch: the processor runs every instruction once, accounts
+	// every cycle it spent, and asks the source once per batch plus once
+	// for the empty one.
+	s, m := newSys(t, 1, false)
+	a := m.Space.Alloc("A", 64, 4, mem.Local, 0).ElemAddr(0)
+	batches := [][]Instr{
+		{Load(a), Compute(3), Load(a), Compute(2)}, // miss, then an L1 hit
+		{Compute(4), LockAcq(1), Compute(5), LockRel(1), Compute(6)},
+	}
+	calls := 0
+	src := func(*Proc) []Instr {
+		calls++
+		if len(batches) == 0 {
+			return nil
 		}
-		calls := 0
-		src := func(*Proc) []Instr {
-			calls++
-			if len(batches) == 0 {
-				return nil
-			}
-			b := batches[0]
-			batches = batches[1:]
-			return b
-		}
-		elapsed := s.Run([]int{0}, []Source{src})
-		return s.Procs[0], elapsed, calls, m.Eng.EventsRun()
+		b := batches[0]
+		batches = batches[1:]
+		return b
 	}
-	stepped, stepElapsed, stepCalls, stepEvents := run(false)
-	fused, fuseElapsed, fuseCalls, fuseEvents := run(true)
-	if stepped.Instrs != fused.Instrs || stepped.B != fused.B || stepElapsed != fuseElapsed {
-		t.Fatalf("stepped %v %+v %d cycles, fused %v %+v %d cycles",
-			stepped.Instrs, stepped.B, stepElapsed, fused.Instrs, fused.B, fuseElapsed)
+	elapsed := s.Run([]int{0}, []Source{src})
+	p := s.Procs[0]
+	if p.Instrs[KLockAcq] != 1 || p.Instrs[KLockRel] != 1 || p.Instrs[KLoad] != 2 || p.Instrs[KCompute] != 5 {
+		t.Fatalf("processor ran %v", p.Instrs)
 	}
-	if stepped.Instrs[KLockAcq] != 1 || stepped.Instrs[KLoad] != 2 || stepped.Instrs[KCompute] != 5 {
-		t.Fatalf("stepped path ran %v", stepped.Instrs)
+	if p.B.Total() != elapsed {
+		t.Fatalf("breakdown %+v accounts %d cycles, run took %d", p.B, p.B.Total(), elapsed)
 	}
-	if stepCalls != 3 || fuseCalls != 3 {
-		t.Fatalf("source calls: stepped %d, fused %d; want 3 (two batches and the empty one)",
-			stepCalls, fuseCalls)
-	}
-	if fuseEvents >= stepEvents {
-		t.Fatalf("fused path ran %d events, stepped %d: nothing was fused", fuseEvents, stepEvents)
+	if calls != 3 {
+		t.Fatalf("source calls: %d, want 3 (two batches and the empty one)", calls)
 	}
 }

@@ -45,7 +45,6 @@ func (h *Harness) config(c cell) run.Config {
 		Procs: c.procs, Mode: c.mode, Contention: true,
 		Topology: h.Topology, Placement: h.Placement,
 		MeshW: h.MeshW, MeshH: h.MeshH, DirMode: h.DirMode,
-		NoFastPath: h.NoFastPath,
 	}
 	if c.set != nil {
 		c.set(&cfg)

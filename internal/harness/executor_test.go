@@ -210,7 +210,7 @@ func TestResultMemoKeyMatchesJobSpec(t *testing.T) {
 func TestKnobsReachEveryCell(t *testing.T) {
 	h := NewParallel(Quick, 1)
 	h.Topology, h.MeshW, h.MeshH = interconnect.Mesh, 4, 4
-	h.Placement, h.DirMode, h.NoFastPath = mem.Blocked, directory.Coarse, true
+	h.Placement, h.DirMode = mem.Blocked, directory.Coarse
 
 	type sweeps struct{ topology, placement, dirMode, mesh bool }
 	type experiment struct {
@@ -238,9 +238,6 @@ func TestKnobsReachEveryCell(t *testing.T) {
 		}
 		for i, c := range tb.cells {
 			cfg := h.config(c)
-			if !cfg.NoFastPath {
-				t.Errorf("%s cell %d: NoFastPath not applied", tb.name, i)
-			}
 			if !tb.topology && cfg.Topology != interconnect.Mesh {
 				t.Errorf("%s cell %d: topology %v, want the harness's mesh", tb.name, i, cfg.Topology)
 			}

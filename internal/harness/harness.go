@@ -66,12 +66,6 @@ type Harness struct {
 	MeshW, MeshH int
 	DirMode      directory.Mode
 
-	// NoFastPath pins per-instruction stepped execution for every cell
-	// (run.Config.NoFastPath). Results are byte-identical either way —
-	// the CI smoke test asserts exactly that by diffing a full run with
-	// the flag against one without.
-	NoFastPath bool
-
 	// runner is the one pool and singleflight every cell runs through;
 	// it keeps each paper-loop cell's completed flight, which makes its
 	// flight map the harness's memo.

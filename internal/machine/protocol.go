@@ -10,27 +10,16 @@ import (
 
 // Lookup finds the line containing a in p's cache hierarchy without
 // counting or promoting: it returns the frame and the cache holding it,
-// L1 before L2, or (nil, nil) on a miss. Under pure, an L2 hit whose L1
-// promotion would displace a dirty line with no L2 copy reports a miss:
-// that victim would write back to its home, a clock-reading,
-// abort-capable transaction a pure hit must never perform. Inclusion
-// makes such a victim impossible in steady state, but a pure access must
-// not rely on an invariant.
-func (m *Machine) Lookup(p int, a mem.Addr, pure bool) (*cache.Frame, *cache.Cache) {
+// L1 before L2, or (nil, nil) on a miss.
+func (m *Machine) Lookup(p int, a mem.Addr) (*cache.Frame, *cache.Cache) {
 	pr := m.Procs[p]
 	if fr := pr.L1.Lookup(a); fr != nil {
 		return fr, pr.L1
 	}
-	fr := pr.L2.Lookup(a)
-	if fr == nil {
-		return nil, nil
+	if fr := pr.L2.Lookup(a); fr != nil {
+		return fr, pr.L2
 	}
-	if pure {
-		if v := pr.L1.SetOccupant(a); v != nil && v.State() == cache.Dirty && pr.L2.Lookup(pr.L1.Tag(v)) == nil {
-			return nil, nil
-		}
-	}
-	return fr, pr.L2
+	return nil, nil
 }
 
 // Take performs the lookup part of an access whose Lookup returned
@@ -336,80 +325,44 @@ func (m *Machine) hopLatency(p, h int, threeHop bool) sim.Time {
 // Read performs a plain (non-speculative) read by processor p and returns
 // the latency the processor observes.
 func (m *Machine) Read(p int, a mem.Addr) sim.Time {
-	lat, _ := m.read(p, a, false)
+	pr := m.Procs[p]
+	m.Stats.Reads++
+	if pr.L1.Lookup(a) != nil {
+		// Counted here rather than through Take: the plain L1 hit is
+		// the simulator's most frequent access, and Take is not inlined.
+		pr.L1.Stats.Hits++
+		m.Stats.L1Hits++
+		return m.Cfg.Lat.L1Hit
+	}
+	fr, c := m.Lookup(p, a)
+	if _, lat := m.Take(p, a, fr, c); fr != nil {
+		return lat
+	}
+	lat, _ := m.FetchRead(p, a, nil) // plain transactions cannot fail
 	return lat
-}
-
-// TryFastRead performs a plain read only when it is a pure hit (see
-// read), for the execution fast path; ok=false performs and counts
-// nothing.
-func (m *Machine) TryFastRead(p int, a mem.Addr) (sim.Time, bool) {
-	return m.read(p, a, true)
 }
 
 // Write performs a plain write by processor p. The returned latency is
 // what the processor observes; per §5.1 processors do not stall on write
 // misses, so it is the L1 hit time unless the line is already writable
-// (or Config.StallWrites is set, for the ablation).
+// (or Config.StallWrites is set, for the ablation). A clean hit upgrades
+// at the home and a miss fetches exclusive; a dirty hit is charged the
+// L1 hit time whatever Config.StallWrites says.
 func (m *Machine) Write(p int, a mem.Addr) sim.Time {
-	lat, _ := m.write(p, a, false)
-	return lat
-}
-
-// TryFastWrite is TryFastRead's store counterpart.
-func (m *Machine) TryFastWrite(p int, a mem.Addr) (sim.Time, bool) {
-	return m.write(p, a, true)
-}
-
-// read is the plain read. A hit is pure: it issues no directory
-// transaction or deferred message, cannot fail, and its latency does not
-// depend on the simulated time. Under pure, anything else returns
-// ok=false before its first side effect, for the stepped path to perform.
-func (m *Machine) read(p int, a mem.Addr, pure bool) (sim.Time, bool) {
 	pr := m.Procs[p]
-	if pr.L1.Lookup(a) != nil {
-		// Counted here rather than through Take: the plain L1 hit is
-		// the simulator's most frequent access, and Take is not inlined.
-		m.Stats.Reads++
-		pr.L1.Stats.Hits++
-		m.Stats.L1Hits++
-		return m.Cfg.Lat.L1Hit, true
-	}
-	fr, c := m.Lookup(p, a, pure)
-	if fr == nil && pure {
-		return 0, false
-	}
-	m.Stats.Reads++
-	if _, lat := m.Take(p, a, fr, c); fr != nil {
-		return lat, true
-	}
-	lat, _ := m.FetchRead(p, a, nil) // plain transactions cannot fail
-	return lat, true
-}
-
-// write is the plain write. Only a hit on a dirty line is pure; a clean
-// hit upgrades at the home and a miss fetches exclusive, neither
-// stalling the processor. A dirty hit is charged the L1 hit time
-// whatever Config.StallWrites says.
-func (m *Machine) write(p int, a mem.Addr, pure bool) (sim.Time, bool) {
-	pr := m.Procs[p]
-	if fr := pr.L1.Lookup(a); fr != nil && fr.State() == cache.Dirty {
-		// The dirty L1 hit is counted inline, as in read.
-		m.Stats.Writes++
-		pr.L1.Stats.Hits++
-		m.Stats.L1Hits++
-		return m.Cfg.Lat.L1Hit, true
-	}
-	fr, c := m.Lookup(p, a, pure)
-	if pure && (fr == nil || fr.State() != cache.Dirty) {
-		return 0, false
-	}
 	m.Stats.Writes++
+	if fr := pr.L1.Lookup(a); fr != nil && fr.State() == cache.Dirty {
+		// The dirty L1 hit is counted inline, as in Read.
+		pr.L1.Stats.Hits++
+		m.Stats.L1Hits++
+		return m.Cfg.Lat.L1Hit
+	}
+	fr, c := m.Lookup(p, a)
 	if fr, _ = m.Take(p, a, fr, c); fr != nil && fr.State() == cache.Dirty {
-		return m.Cfg.Lat.L1Hit, true
+		return m.Cfg.Lat.L1Hit
 	}
 	lat, _ := m.FetchWrite(p, a, nil) // plain transactions cannot fail
-	return m.WriteProcLatency(lat), true
+	return m.WriteProcLatency(lat)
 }
 
 // WriteProcLatency returns what a processor is charged for a write whose

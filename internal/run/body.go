@@ -98,6 +98,9 @@ type loopGen struct {
 	exec int
 
 	buf []cpu.Instr
+	// ctx is handed to every iteration's Body call, refilled with the
+	// iteration number each time: a Body must not keep it past the call.
+	ctx Ctx
 
 	blocks []sched.Block // static / block-cyclic assignment
 	bi     int
@@ -132,8 +135,8 @@ func (g *loopGen) generate() {
 	s := g.s
 	if g.haveBlock && g.curIter < g.cur.Hi {
 		// Emit one iteration of the current block.
-		c := &Ctx{s: s, p: g.p, exec: g.exec, iter: g.curIter, buf: &g.buf}
-		s.w.Body(g.exec, g.curIter, c)
+		g.ctx.iter = g.curIter
+		s.w.Body(g.exec, g.curIter, &g.ctx)
 		if s.cfg.Mode == SW && !s.w.SWProcWise {
 			s.markIteration(g.curIter)
 		}
@@ -268,6 +271,7 @@ func (s *session) loopWindow(exec, lo, hi int) {
 		g := s.loopGens[p]
 		*g = loopGen{s: s, p: p, exec: exec, disp: disp, shiftLo: lo,
 			buf: s.loopBufs[p][:0], blocks: g.blocks[:0]}
+		g.ctx = Ctx{s: s, p: p, buf: &g.buf}
 		switch cfg.Kind {
 		case sched.Static:
 			g.blocks = shift(g.blocks, static[p:p+1])

@@ -37,7 +37,7 @@ const (
 // companion test asserts it equals reflect.TypeOf(Config{}).NumField(),
 // so adding a Config field without extending Canonical fails the build's
 // tests instead of silently aliasing distinct configs to one cache key.
-const canonFieldCount = 21
+const canonFieldCount = 20
 
 // ModeByName resolves a mode flag or request-body value.
 func ModeByName(name string) (Mode, error) {
@@ -98,7 +98,6 @@ func (c Config) Canonical() string {
 	fmt.Fprintf(&b, "max_executions=%d\n", c.MaxExecutions)
 	fmt.Fprintf(&b, "mesh=%s\n", mesh)
 	fmt.Fprintf(&b, "mode=%v\n", c.Mode)
-	fmt.Fprintf(&b, "no_fast_path=%t\n", c.NoFastPath)
 	fmt.Fprintf(&b, "placement=%v\n", c.Placement)
 	fmt.Fprintf(&b, "policy=%v\n", c.Policy)
 	fmt.Fprintf(&b, "procs=%d\n", c.Procs)

@@ -43,6 +43,11 @@ func TestHashEquivalentConfigs(t *testing.T) {
 	if base.Canonical() != explicit.Canonical() {
 		t.Fatalf("explicit defaults changed the canonical form")
 	}
+	// The hash is specrtd's cache key: a change to Canonical changes
+	// every key, so it is pinned here and named when it moves.
+	if h, want := base.Hash(), "18b87f90ad21d17a59bc873a92293865d2b7efd685f615e63bb957f3376b6e0c"; h != want {
+		t.Fatalf("Hash = %s, want %s:\n%s", h, want, base.Canonical())
+	}
 }
 
 // TestHashFieldFlips: flipping any single field must change the hash.
@@ -71,7 +76,6 @@ func TestHashFieldFlips(t *testing.T) {
 		"L2Bytes":           func(c *Config) { c.L2Bytes = 64 * 1024 },
 		"Policy":            func(c *Config) { c.Policy = policy.Adaptive },
 		"Director":          func(c *Config) { c.Policy = policy.Adaptive; c.Director = policy.Threshold },
-		"NoFastPath":        func(c *Config) { c.NoFastPath = true },
 	}
 	if len(flips) != canonFieldCount {
 		t.Fatalf("flip table covers %d fields, Config has %d", len(flips), canonFieldCount)

@@ -81,7 +81,6 @@ type ArraySpec struct {
 type Ctx struct {
 	s    *session
 	p    int // executing processor
-	exec int
 	iter int
 	buf  *[]cpu.Instr
 }
@@ -124,7 +123,8 @@ type Workload struct {
 	// Iterations returns the trip count of execution exec.
 	Iterations func(exec int) int
 	Arrays     []ArraySpec
-	// Body emits the work of one iteration.
+	// Body emits the work of one iteration through c, which is valid
+	// only for the duration of the call.
 	Body func(exec, iter int, c *Ctx)
 
 	// Scheduling per mode. A zero Config means static chunking.
@@ -215,12 +215,6 @@ type Config struct {
 	// ladder) or policy.Cost (predicted-cycles model). Ignored when
 	// Policy is off.
 	Director policy.DirectorKind
-	// NoFastPath pins per-instruction stepped execution, disabling the
-	// local-horizon batched fast path (internal/cpu). The fast path is
-	// exact — results are byte-identical either way — so this is an
-	// escape hatch for differential testing and perf debugging, not a
-	// semantic knob. CheckInvariants implies it.
-	NoFastPath bool
 }
 
 // Result reports one Execute call.

@@ -2,6 +2,7 @@ package run
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -120,14 +121,68 @@ func TestSWParallelPassesAndIsSlowerThanHW(t *testing.T) {
 	}
 }
 
+// midRunCollision has every processor in a long stretch of compute and
+// per-iteration cache hits when iteration 20's store collides with the
+// element every iteration reads, so the failure lands mid-stretch on
+// the other processors.
+func midRunCollision() *Workload {
+	return &Workload{
+		Name:       "mid-run-collision",
+		Executions: 2,
+		Iterations: func(int) int { return 32 },
+		Arrays: []ArraySpec{
+			{Name: "W", Elems: 256, ElemSize: 4, Test: core.NonPriv},
+		},
+		Body: func(_, iter int, c *Ctx) {
+			for k := 0; k < 8; k++ {
+				c.Compute(40)
+				c.Load(0, 8+iter)
+			}
+			if iter == 20 {
+				// A write to data other processors have read (§3.2).
+				c.Store(0, 0)
+			}
+			c.Load(0, 0)
+		},
+	}
+}
+
 func TestHWDetectsDependence(t *testing.T) {
 	w := depLoop(core.NonPriv, 64)
 	r := MustExecute(w, cfgFor(HW, 4))
 	if r.Failures != 1 {
 		t.Fatalf("HW missed the dependence: %+v", r)
 	}
+	if r.FirstFailure == nil {
+		t.Fatal("no first failure recorded")
+	}
 	if r.Cycles <= 0 {
 		t.Fatal("no cycles accounted")
+	}
+}
+
+// TestFastPathAbortMidBatch aborts speculation while every other
+// processor is in the middle of a long stretch of compute and cache
+// hits (midRunCollision). Both executions must fail on element 0 of W,
+// and a second run of the same workload must report the same Result
+// down to the cycle.
+func TestFastPathAbortMidBatch(t *testing.T) {
+	r := MustExecute(midRunCollision(), cfgFor(HW, 4))
+	if r.Failures != 2 {
+		t.Fatalf("%d failures, want 2 (both executions): %+v", r.Failures, r)
+	}
+	f := r.FirstFailure
+	if f == nil {
+		t.Fatal("no first failure recorded")
+	}
+	if f.Array != "W" || f.Elem != 0 {
+		t.Fatalf("first failure on %s[%d], want W[0]: %v", f.Array, f.Elem, f)
+	}
+	if f.At <= 0 || f.At >= r.Cycles {
+		t.Fatalf("first failure at cycle %d, outside the run's %d cycles", f.At, r.Cycles)
+	}
+	if again := MustExecute(midRunCollision(), cfgFor(HW, 4)); !reflect.DeepEqual(r, again) {
+		t.Fatalf("two runs differ\nfirst:  %+v\nsecond: %+v", r, again)
 	}
 }
 

@@ -153,10 +153,6 @@ func newSession(w *Workload, cfg Config) *session {
 	}
 
 	s.sys = cpu.NewSystem(m, s.ctl)
-	// The fast path is exact by construction, but invariant-checked runs
-	// audit every directory transaction in stepped order, so they pin
-	// the stepped path wholesale rather than reason about fused runs.
-	s.sys.FastPath = !cfg.NoFastPath && !cfg.CheckInvariants
 	s.sys.SetBarrier(phaseBarrier, procs)
 
 	if cfg.Mode == SW || cfg.Mode == HW {
@@ -458,8 +454,7 @@ func (s *session) runOne(exec int, res *Result) {
 // backlog, from one instance into the next.
 func (s *session) serialReexec(exec int) (sim.Time, cpu.Breakdown) {
 	r := newSession(s.w, Config{Procs: 1, Mode: Serial, Contention: s.cfg.Contention,
-		Topology: s.cfg.Topology, L1Bytes: s.cfg.L1Bytes, L2Bytes: s.cfg.L2Bytes,
-		NoFastPath: s.cfg.NoFastPath})
+		Topology: s.cfg.Topology, L1Bytes: s.cfg.L1Bytes, L2Bytes: s.cfg.L2Bytes})
 	var res Result
 	r.runOne(exec, &res)
 	r.m.Release()

@@ -128,9 +128,9 @@ type Engine struct {
 	l0head  [l0Size]int
 	l1      [l1Size][]wentry
 
-	// Memoized head-of-queue decision shared by PeekTime and Step, so the
-	// execution fast path's peek and the following Step do one merged
-	// scan, not two. peekValid is cleared by every pop and by any insert
+	// Memoized head-of-queue decision shared by PeekTime and Step, so
+	// RunUntil's peek and the Step that follows it do one merged scan,
+	// not two. peekValid is cleared by every pop and by any insert
 	// that could change the winner (an earlier time, or — under an order
 	// policy — an equal time, since ranks can reorder same-cycle events).
 	peekValid bool
@@ -193,13 +193,6 @@ func (e *Engine) DisableWheel() {
 	e.l0occ, e.l1occ = [l0Size / 64]uint64{}, 0
 	e.l0count, e.wcount, e.l0pos = 0, 0, 0
 }
-
-// OrderPolicyActive reports whether a non-nil same-cycle order policy is
-// installed. The execution fast path must collapse to per-instruction
-// stepping under a policy: fused runs consume fewer sequence numbers
-// than stepped ones, which is invisible under FIFO tie-break but would
-// change the ranks a policy assigns to later events.
-func (e *Engine) OrderPolicyActive() bool { return e.order != nil }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
@@ -462,8 +455,7 @@ func (e *Engine) Step() bool {
 }
 
 // PeekTime reports the time of the earliest pending event, if any,
-// without running it. The execution fast path uses it to bound how far a
-// processor may run ahead without yielding to the event queue.
+// without running it.
 func (e *Engine) PeekTime() (Time, bool) {
 	if !e.peekValid {
 		e.scanHead()
