@@ -5,10 +5,11 @@
 // hash map: it lives in flat slices indexed by dense element or line
 // index. What it does need is a cheap way to wipe that metadata between
 // iterations of the experiment loop (Arm/Disarm cycles, ablation cells,
-// fuzz replays). The types here make Reset O(1) by tagging each slot
-// with the epoch that last wrote it: a slot whose tag differs from the
-// current epoch reads as the default value, and Reset just increments
-// the epoch. No reallocation, no O(n) clear on the hot path.
+// fuzz replays). The types here make Reset O(1) by tagging each unit of
+// storage (an I32 page, a Bits word) with the epoch that last wrote it:
+// a unit whose tag differs from the current epoch reads as the default
+// value, and Reset just increments the epoch. No reallocation, no O(n)
+// clear on the hot path.
 package arena
 
 import (
@@ -16,42 +17,79 @@ import (
 	"sync"
 )
 
-// I32 is a flat int32 table with an epoch-tagged O(1) Reset. Slots not
-// written since the last Reset read as the default value.
+// I32 is an int32 table with an epoch-tagged O(1) Reset, paged by line:
+// a page is 16 slots, one 64-byte line of int32. A page takes storage at
+// its first Set in an epoch, appended to one store, and a page not set
+// since the last Reset reads as the default value. A table whose writes
+// touch a few lines thus holds a page header per 16 slots (0.5 B per
+// slot) plus those lines' storage, and a fully written one 4.5 B per
+// slot. Reset truncates the store, keeping its capacity for the next
+// epoch.
 type I32 struct {
-	v   []int32
-	tag []uint32
-	cur uint32
-	def int32
+	pages []page
+	store []int32
+	fill  [pageSlots]int32 // a fresh page: every slot the default
+	n     int
+	cur   uint32
+	def   int32
+}
+
+// pageSlots is the number of slots in an I32 page.
+const pageSlots = 16
+
+// page is an I32 page header: the epoch that last gave the page storage,
+// and the index of that storage in the store, in pages.
+type page struct {
+	epoch uint32
+	at    uint32
 }
 
 // NewI32 returns a table of n slots, all reading as def.
 func NewI32(n int, def int32) *I32 {
-	return &I32{v: make([]int32, n), tag: make([]uint32, n), cur: 1, def: def}
+	// The first page's storage is reserved here: a table written at one
+	// line never allocates after construction.
+	s := &I32{pages: make([]page, (n+pageSlots-1)/pageSlots), store: make([]int32, 0, pageSlots), n: n, cur: 1, def: def}
+	for i := range s.fill {
+		s.fill[i] = def
+	}
+	return s
 }
 
 // Len returns the number of slots.
-func (s *I32) Len() int { return len(s.v) }
+func (s *I32) Len() int { return s.n }
 
-// Get returns slot i, or the default if it was not set this epoch.
+// Get returns slot i, or the default if its page was not set this epoch.
 func (s *I32) Get(i int) int32 {
-	if s.tag[i] != s.cur {
+	if uint(i) >= uint(s.n) {
+		panic("arena: I32 index out of range")
+	}
+	pg := s.pages[uint(i)/pageSlots]
+	if pg.epoch != s.cur {
 		return s.def
 	}
-	return s.v[i]
+	return s.store[uint(pg.at)*pageSlots+uint(i)%pageSlots]
 }
 
-// Set writes slot i for the current epoch.
+// Set writes slot i for the current epoch, giving its page storage if
+// the page has none this epoch.
 func (s *I32) Set(i int, x int32) {
-	s.v[i] = x
-	s.tag[i] = s.cur
+	if uint(i) >= uint(s.n) {
+		panic("arena: I32 index out of range")
+	}
+	pg := &s.pages[uint(i)/pageSlots]
+	if pg.epoch != s.cur {
+		pg.epoch, pg.at = s.cur, uint32(len(s.store)/pageSlots)
+		s.store = append(s.store, s.fill[:]...)
+	}
+	s.store[uint(pg.at)*pageSlots+uint(i)%pageSlots] = x
 }
 
 // Reset invalidates every slot in O(1) by advancing the epoch.
 func (s *I32) Reset() {
+	s.store = s.store[:0]
 	s.cur++
-	if s.cur == 0 { // epoch counter wrapped: stale tags could alias
-		clear(s.tag)
+	if s.cur == 0 { // epoch counter wrapped: stale headers could alias
+		clear(s.pages)
 		s.cur = 1
 	}
 }
@@ -94,33 +132,26 @@ func (b *Bits) word(wi int) uint64 {
 	return b.w[wi]
 }
 
-// ForEachRange calls fn for every set bit in [lo, hi), in increasing
-// order. The scan is word-wise, so sparse ranges cost little.
-func (b *Bits) ForEachRange(lo, hi int, fn func(i int)) {
-	if lo < 0 {
-		lo = 0
+// Next returns the first set bit in [i, hi), or hi if there is none. The
+// scan is word-wise, so sparse ranges cost little; a walk over the set
+// bits calls it again from the bit after each one it returns.
+func (b *Bits) Next(i, hi int) int {
+	if i < 0 {
+		i = 0
 	}
 	if max := len(b.w) * 64; hi > max {
 		hi = max
 	}
-	for wi := lo >> 6; wi<<6 < hi; wi++ {
+	for wi := i >> 6; wi<<6 < hi; wi++ {
 		w := b.word(wi)
-		if w == 0 {
-			continue
+		if base := wi << 6; base < i {
+			w &^= (1 << uint(i-base)) - 1
 		}
-		base := wi << 6
-		if base < lo {
-			w &^= (1 << uint(lo-base)) - 1
-		}
-		if base+64 > hi {
-			w &= (1 << uint(hi-base)) - 1
-		}
-		for w != 0 {
-			i := base + bits.TrailingZeros64(w)
-			fn(i)
-			w &= w - 1
+		if w != 0 {
+			return min(wi<<6+bits.TrailingZeros64(w), hi)
 		}
 	}
+	return hi
 }
 
 // Count returns the number of set bits in the current epoch. The scan

@@ -35,10 +35,47 @@ func TestI32EpochWrap(t *testing.T) {
 	if s.cur != 1 {
 		t.Fatalf("cur after wrap = %d, want 1", s.cur)
 	}
-	// The old tag was rewritten to 0, so the stale value must not leak
+	// The old page header was cleared, so the stale value must not leak
 	// even though cur cycled back to a previously used epoch.
 	if s.Get(0) != 0 {
 		t.Fatalf("stale value leaked through epoch wrap: %d", s.Get(0))
+	}
+}
+
+// A page takes storage at its first Set in an epoch, and only then; Reset
+// gives it all back and keeps the capacity.
+func TestI32PagesTakenAtFirstSet(t *testing.T) {
+	s := NewI32(100, 5) // seven pages, the last one partial
+	if len(s.pages) != 7 || len(s.store) != 0 {
+		t.Fatalf("fresh table: %d pages, %d stored slots; want 7, 0", len(s.pages), len(s.store))
+	}
+	s.Set(17, 1)
+	s.Set(31, 2) // same page as 17
+	s.Set(99, 3) // the partial page
+	if len(s.store) != 2*pageSlots {
+		t.Fatalf("two touched pages hold %d slots, want %d", len(s.store), 2*pageSlots)
+	}
+	for i := 0; i < 100; i++ {
+		want := int32(5)
+		switch i {
+		case 17:
+			want = 1
+		case 31:
+			want = 2
+		case 99:
+			want = 3
+		}
+		if got := s.Get(i); got != want {
+			t.Fatalf("Get(%d) = %d, want %d", i, got, want)
+		}
+	}
+	c := cap(s.store)
+	s.Reset()
+	if len(s.store) != 0 || cap(s.store) != c {
+		t.Fatalf("Reset left %d stored slots of capacity %d, want 0 of %d", len(s.store), cap(s.store), c)
+	}
+	if s.Get(17) != 5 || s.Get(99) != 5 {
+		t.Fatal("a value survived Reset")
 	}
 }
 
@@ -67,15 +104,23 @@ func TestBitsBasics(t *testing.T) {
 	}
 }
 
-func TestBitsForEachRangeOrdered(t *testing.T) {
+// setBits returns the set bits of b in [lo, hi), walked with Next.
+func setBits(b *Bits, lo, hi int) []int {
+	var got []int
+	for i := b.Next(lo, hi); i < hi; i = b.Next(i+1, hi) {
+		got = append(got, i)
+	}
+	return got
+}
+
+func TestBitsNextOrdered(t *testing.T) {
 	b := NewBits(256)
 	want := []int{3, 63, 64, 100, 200, 255}
 	// Set in shuffled order; iteration must still come out ascending.
 	for _, i := range []int{200, 3, 255, 64, 100, 63} {
 		b.Set(i)
 	}
-	var got []int
-	b.ForEachRange(0, 256, func(i int) { got = append(got, i) })
+	got := setBits(b, 0, 256)
 	if len(got) != len(want) {
 		t.Fatalf("got %v, want %v", got, want)
 	}
@@ -85,8 +130,7 @@ func TestBitsForEachRangeOrdered(t *testing.T) {
 		}
 	}
 	// Sub-range boundaries are half-open and word-edge safe.
-	got = got[:0]
-	b.ForEachRange(63, 201, func(i int) { got = append(got, i) })
+	got = setBits(b, 63, 201)
 	want = []int{63, 64, 100, 200}
 	if len(got) != len(want) {
 		t.Fatalf("sub-range got %v, want %v", got, want)
@@ -133,21 +177,20 @@ func TestBitsMatchesReference(t *testing.T) {
 			t.Fatalf("step %d: Get(%d) = %t, ref %t", step, i, b.Get(i), ref[i])
 		}
 	}
-	count := 0
-	b.ForEachRange(0, n, func(i int) {
-		count++
+	got := setBits(b, 0, n)
+	for _, i := range got {
 		if !ref[i] {
-			t.Fatalf("ForEachRange visited unset bit %d", i)
+			t.Fatalf("Next visited unset bit %d", i)
 		}
-	})
-	if count != len(ref) {
-		t.Fatalf("ForEachRange visited %d bits, ref has %d", count, len(ref))
+	}
+	if len(got) != len(ref) {
+		t.Fatalf("Next visited %d bits, ref has %d", len(got), len(ref))
 	}
 }
 
 func TestI32MatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	const n = 64
+	const n = 70 // several pages, the last one partial
 	s := NewI32(n, -7)
 	ref := map[int]int32{}
 	for step := 0; step < 5000; step++ {

@@ -147,7 +147,9 @@ type Array struct {
 	minW    *arena.I32 // default noIter ("never written")
 
 	// Privatization private-directory state, flattened per processor per
-	// element (index pIdx(p, e)).
+	// element (index pIdx(p, e)). These tables are the largest, N entries
+	// per element; arena.I32 gives storage only to the lines a processor
+	// touches in the current epoch.
 	pMaxR1st *arena.I32
 	pMaxW    *arena.I32
 

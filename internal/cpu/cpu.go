@@ -188,8 +188,14 @@ type System struct {
 	started  sim.Time
 }
 
+// lock is a FIFO lock. Its queue is waiters[head:] (with their arrival
+// times in arrived[head:]); a release advances head. The queue moves back
+// to the front of its storage when it drains, or when an arrival finds
+// the storage full, so appends reuse that storage instead of
+// reallocating it.
 type lock struct {
 	held    bool
+	head    int
 	waiters []*Proc
 	arrived []sim.Time
 }
@@ -267,6 +273,7 @@ func (s *System) Run(procIDs []int, sources []Source) sim.Time {
 	// a fresh phase.
 	for _, l := range s.locks {
 		l.held = false
+		l.head = 0
 		l.waiters = l.waiters[:0]
 		l.arrived = l.arrived[:0]
 	}
@@ -434,6 +441,12 @@ func (s *System) lockAcquire(p *Proc, id int) {
 	}
 	p.blocked = true
 	p.waitKind, p.waitID = "lock", id
+	if l.head > 0 && len(l.waiters) == cap(l.waiters) {
+		n := copy(l.waiters, l.waiters[l.head:])
+		copy(l.arrived, l.arrived[l.head:])
+		clear(l.waiters[n:])
+		l.waiters, l.arrived, l.head = l.waiters[:n], l.arrived[:n], 0
+	}
 	l.waiters = append(l.waiters, p)
 	l.arrived = append(l.arrived, s.M.Eng.Now())
 }
@@ -445,14 +458,17 @@ func (s *System) lockRelease(p *Proc, id int) {
 	}
 	// The releaser continues immediately.
 	s.M.Eng.Schedule(0, p.stepFn)
-	if len(l.waiters) == 0 {
+	if l.head == len(l.waiters) {
 		l.held = false
 		return
 	}
-	w := l.waiters[0]
-	at := l.arrived[0]
-	l.waiters = l.waiters[1:]
-	l.arrived = l.arrived[1:]
+	w, at := l.waiters[l.head], l.arrived[l.head]
+	l.waiters[l.head] = nil
+	if l.head++; l.head == len(l.waiters) {
+		l.head = 0
+		l.waiters = l.waiters[:0]
+		l.arrived = l.arrived[:0]
+	}
 	handoff := s.Costs.LockHandoff
 	w.blocked = false
 	w.waitKind = ""

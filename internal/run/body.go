@@ -240,7 +240,6 @@ func (s *session) loopWindow(exec, lo, hi int) {
 	if s.loopGens == nil {
 		s.loopGens = make([]*loopGen, s.procs)
 		s.loopSrc = make([]cpu.Source, s.procs)
-		s.loopBufs = make([][]cpu.Instr, s.procs)
 		for p := 0; p < s.procs; p++ {
 			g := &loopGen{}
 			s.loopGens[p] = g
@@ -270,7 +269,7 @@ func (s *session) loopWindow(exec, lo, hi int) {
 	for p := 0; p < s.procs; p++ {
 		g := s.loopGens[p]
 		*g = loopGen{s: s, p: p, exec: exec, disp: disp, shiftLo: lo,
-			buf: s.loopBufs[p][:0], blocks: g.blocks[:0]}
+			buf: s.bufs[p][:0], blocks: g.blocks[:0]}
 		g.ctx = Ctx{s: s, p: p, buf: &g.buf}
 		switch cfg.Kind {
 		case sched.Static:
@@ -281,6 +280,6 @@ func (s *session) loopWindow(exec, lo, hi int) {
 	}
 	s.sys.Run(s.procIDs, s.loopSrc)
 	for p, g := range s.loopGens {
-		s.loopBufs[p] = g.buf
+		s.bufs[p] = g.buf
 	}
 }

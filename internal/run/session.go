@@ -74,14 +74,18 @@ type session struct {
 	// sparseSaved[arr] marks elements already saved by the sparse backup
 	// in the current execution.
 	sparseSaved []*arena.Bits
-	// insBuf/srcBuf are the reusable per-processor instruction buffers
-	// and sources of the copy and merge phases.
-	insBuf [][]cpu.Instr
-	srcBuf []cpu.Source
-	// loopBufs/loopGens are the reusable per-processor generator state of
-	// the loop phase; the generated-instruction buffers persist across
-	// windows and executions.
-	loopBufs [][]cpu.Instr
+	// bufs[p] is processor p's instruction buffer. Every phase's source
+	// hands out its batches in it; the phases run one after another, so
+	// they share it, and it persists across windows and executions.
+	bufs [][]cpu.Instr
+	// phaseSteps are the steps of the non-loop phase being run, and
+	// phaseGens/phaseSrc the per-processor generators and sources that
+	// walk them (SW and HW only), built once per session.
+	phaseSteps []phaseStep
+	phaseGens  []phaseGen
+	phaseSrc   []cpu.Source
+	// loopGens/loopSrc are the reusable per-processor generator state of
+	// the loop phase.
 	loopGens []*loopGen
 	loopSrc  []cpu.Source
 }
@@ -124,7 +128,7 @@ func newSession(w *Workload, cfg Config) *session {
 	}
 	m := machine.MustNew(mcfg)
 
-	s := &session{w: w, cfg: cfg, m: m, procs: procs}
+	s := &session{w: w, cfg: cfg, m: m, procs: procs, bufs: make([][]cpu.Instr, procs)}
 	for p := 0; p < procs; p++ {
 		s.procIDs = append(s.procIDs, p)
 	}
@@ -161,6 +165,13 @@ func newSession(w *Workload, cfg Config) *session {
 			if a.Test == core.NonPriv && a.SparseBackup {
 				s.sparseSaved[i] = arena.NewBits(a.Elems)
 			}
+		}
+		s.phaseGens = make([]phaseGen, procs)
+		s.phaseSrc = make([]cpu.Source, procs)
+		for p := range s.phaseGens {
+			g := &s.phaseGens[p]
+			g.s, g.p = s, p
+			s.phaseSrc[p] = g.next
 		}
 	}
 
@@ -364,7 +375,7 @@ func (s *session) runOne(exec int, res *Result) {
 		s.loopPhase(exec)
 
 	case HW:
-		s.copyPhase(false)
+		s.runPhase(phaseBackup)
 		s.ctl.Arm()
 		if s.chk != nil {
 			s.chk.Rearm()
@@ -405,16 +416,16 @@ func (s *session) runOne(exec int, res *Result) {
 				res.Failures++
 			}
 			res.FailDetectCycles += eng.Now() - loopStart
-			s.copyPhase(true) // restore
+			s.runPhase(phaseRestore)
 			serialCycles, serialBd = s.serialReexec(exec)
 		} else {
-			s.copyOutPhase()
+			s.runPhase(phaseCopyOut)
 			s.ctl.Disarm()
 		}
 
 	case SW:
 		s.resetSWExec()
-		s.copyPhase(false) // backup + shadow zero-out
+		s.runPhase(phaseBackup) // backup + shadow zero-out
 		loopStart := eng.Now()
 		s.loopPhase(exec)
 		if s.sys.Excepted() {
@@ -422,16 +433,16 @@ func (s *session) runOne(exec int, res *Result) {
 			// the analysis, restore and re-execute serially (§2.2).
 			res.Exceptions++
 			res.FailDetectCycles += eng.Now() - loopStart
-			s.copyPhase(true)
+			s.runPhase(phaseRestore)
 			serialCycles, serialBd = s.serialReexec(exec)
 			break
 		}
-		s.mergePhase()
+		s.runPhase(phaseMerge)
 		failed := s.analyze(exec, res)
 		if failed {
 			res.Failures++
 			res.FailDetectCycles += eng.Now() - loopStart
-			s.copyPhase(true) // restore
+			s.runPhase(phaseRestore)
 			serialCycles, serialBd = s.serialReexec(exec)
 		}
 	}
@@ -512,67 +523,6 @@ func (s *session) elemsPerLine(r mem.Region) int {
 	return n
 }
 
-// phaseBufs returns the session's reusable per-processor source and
-// instruction buffers (the phases run back-to-back, never concurrently).
-func (s *session) phaseBufs() []cpu.Source {
-	if s.srcBuf == nil {
-		s.srcBuf = make([]cpu.Source, s.procs)
-		s.insBuf = make([][]cpu.Instr, s.procs)
-	}
-	return s.srcBuf
-}
-
-// copyPhase runs the parallel backup (restore=false) or restore
-// (restore=true) of all backed-up arrays, and for SW also the shadow
-// zero-out on the backup pass. Work is chunked across processors and
-// closed with a barrier.
-func (s *session) copyPhase(restore bool) {
-	sources := s.phaseBufs()
-	for p := 0; p < s.procs; p++ {
-		ins := s.insBuf[p][:0]
-		for i, a := range s.w.Arrays {
-			bak := s.backups[i]
-			if bak.Bytes == 0 {
-				continue
-			}
-			if a.SparseBackup && !restore {
-				continue // elements save lazily at first write
-			}
-			src, dst := s.shared[i], bak
-			if restore {
-				src, dst = dst, src
-			}
-			step := s.elemsPerLine(src)
-			n := src.Elems
-			lo, hi := p*n/s.procs, (p+1)*n/s.procs
-			for e := lo; e < hi; e += step {
-				if a.SparseBackup && !s.lineSaved(i, e, step) {
-					continue // nothing of this line was modified
-				}
-				ins = append(ins, cpu.Load(src.ElemAddr(e)), cpu.Store(dst.ElemAddr(e)), cpu.Compute(1))
-			}
-		}
-		if s.cfg.Mode == SW && !restore {
-			// Zero out this processor's own shadow arrays.
-			for i, a := range s.w.Arrays {
-				if a.Test == core.Plain {
-					continue
-				}
-				for _, sh := range []mem.Region{s.swRd[i][p], s.swWr[i][p]} {
-					step := s.elemsPerLine(sh)
-					for e := 0; e < sh.Elems; e += step {
-						ins = append(ins, cpu.Store(sh.ElemAddr(e)), cpu.Compute(1))
-					}
-				}
-			}
-		}
-		ins = append(ins, cpu.Barrier(phaseBarrier))
-		s.insBuf[p] = ins
-		sources[p] = cpu.SliceSource(ins)
-	}
-	s.sys.Run(s.procIDs, sources)
-}
-
 // lineSaved reports whether any element of the line starting at e was
 // sparse-saved.
 func (s *session) lineSaved(arr, e, step int) bool {
@@ -584,91 +534,4 @@ func (s *session) lineSaved(arr, e, step int) bool {
 		}
 	}
 	return false
-}
-
-// copyOutPhase charges the copy-out of privatized live-out arrays after a
-// successful HW execution (§3.3).
-func (s *session) copyOutPhase() {
-	need := false
-	for i, a := range s.w.Arrays {
-		if a.Test == core.Priv && a.LiveOut && s.hwArrays[i] != nil {
-			need = true
-		}
-	}
-	if !need {
-		return
-	}
-	sources := make([]cpu.Source, s.procs)
-	for p := 0; p < s.procs; p++ {
-		p := p
-		asked := false
-		sources[p] = func(*cpu.Proc) []cpu.Instr {
-			if asked {
-				return nil
-			}
-			asked = true
-			// The charge is computed when the processor first asks for
-			// work: ChargeHomeTransfer reads the home's queue then.
-			var lat sim.Time
-			for i, a := range s.w.Arrays {
-				if a.Test == core.Priv && a.LiveOut {
-					lat += s.ctl.CopyOut(s.hwArrays[i], p)
-				}
-			}
-			return []cpu.Instr{cpu.Compute(lat + 1), cpu.Barrier(phaseBarrier)}
-		}
-	}
-	s.sys.Run(s.procIDs, sources)
-}
-
-// mergePhase models the SW merging + analysis work (§2.2.2): each
-// processor scans its *own* private shadow arrays sequentially (they are
-// cache-resident after the zero-out and marking), pushes the lines it
-// actually marked into the global shadow arrays, and then analyzes its
-// chunk of the merged global shadows. Per-processor work stays constant
-// as processors are added (§6.3), which is what limits SW scalability.
-func (s *session) mergePhase() {
-	sources := s.phaseBufs()
-	for p := 0; p < s.procs; p++ {
-		ins := s.insBuf[p][:0]
-		for i, a := range s.w.Arrays {
-			if a.Test == core.Plain {
-				continue
-			}
-			g := s.swGlobal[i]
-			step := s.elemsPerLine(g)
-			// Scan own shadows (sequential, mostly cache hits).
-			for e := 0; e < g.Elems; e += step {
-				ins = append(ins,
-					cpu.Load(s.swWr[i][p].ElemAddr(e)),
-					cpu.Load(s.swRd[i][p].ElemAddr(e)),
-					cpu.Compute(2))
-			}
-			// Sparse merge: update only the global-shadow lines this
-			// processor marked. The bitset walk visits lines in
-			// increasing order.
-			base := p * s.swLineCount[i]
-			s.swLines[i].ForEachRange(base, base+s.swLineCount[i], func(idx int) {
-				e := (idx - base) * step
-				if e >= g.Elems {
-					e = g.Elems - 1
-				}
-				ins = append(ins,
-					cpu.Load(g.ElemAddr(e)),
-					cpu.Compute(sim.Time(step)),
-					cpu.Store(g.ElemAddr(e)))
-			})
-			ins = append(ins, cpu.Barrier(phaseBarrier))
-			// Analysis: each processor checks its chunk of the merged
-			// global shadows.
-			lo, hi := p*g.Elems/s.procs, (p+1)*g.Elems/s.procs
-			for e := lo; e < hi; e += step {
-				ins = append(ins, cpu.Load(g.ElemAddr(e)), cpu.Compute(sim.Time(step)))
-			}
-		}
-		ins = append(ins, cpu.Barrier(phaseBarrier))
-		s.insBuf[p] = ins
-		sources[p] = cpu.SliceSource(ins)
-	}
-	s.sys.Run(s.procIDs, sources)
 }

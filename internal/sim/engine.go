@@ -127,16 +127,6 @@ type Engine struct {
 	l0      [l0Size][]wentry
 	l0head  [l0Size]int
 	l1      [l1Size][]wentry
-
-	// Memoized head-of-queue decision shared by PeekTime and Step, so
-	// RunUntil's peek and the Step that follows it do one merged scan,
-	// not two. peekValid is cleared by every pop and by any insert
-	// that could change the winner (an earlier time, or — under an order
-	// policy — an equal time, since ranks can reorder same-cycle events).
-	peekValid bool
-	peekOK    bool
-	peekWheel bool // head is the wheel's (else the heap's)
-	peekT     Time
 }
 
 // NewEngine returns an empty engine at time zero.
@@ -170,7 +160,6 @@ func (e *Engine) DisableWheel() {
 		return
 	}
 	e.noWheel = true
-	e.peekValid = false
 	if e.wcount == 0 {
 		return
 	}
@@ -220,12 +209,6 @@ func (e *Engine) Schedule(delay Time, fn func()) {
 func (e *Engine) At(t Time, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: schedule at %d before now %d", t, e.now))
-	}
-	// Keep the memoized head only when the new event provably loses to it:
-	// a later time always loses; an equal time loses under FIFO (higher
-	// seq) but not necessarily under an order policy (lower rank wins).
-	if e.peekValid && (!e.peekOK || t < e.peekT || (e.order != nil && t == e.peekT)) {
-		e.peekValid = false
 	}
 	e.seq++
 	if !e.noWheel {
@@ -368,13 +351,12 @@ func (e *Engine) release(slot int32) {
 
 // scanHead merges the two queues under the common (at, rank, seq) key;
 // wheel entries always have rank 0, and sequence numbers are unique, so
-// the comparison never ties. The winner is memoized (see peekValid); when
-// it is the wheel's head, the cursor e.l0pos is left on its bucket, and
-// the invalidation rules guarantee the cursor stays there until the pop.
-// The wheel peek is written out inline (cascade excepted): this runs once
-// per event and the helper-call version showed up in profiles.
-func (e *Engine) scanHead() {
-	e.peekValid = true
+// the comparison never ties. It reports whether the head is the wheel's
+// (else the heap's), its time, and whether any event is pending. When the
+// head is the wheel's, the cursor e.l0pos is left on its bucket. The
+// wheel peek is written out inline (cascade excepted): this runs once per
+// event and the helper-call version showed up in profiles.
+func (e *Engine) scanHead() (wheel bool, t Time, ok bool) {
 	var we *wentry
 	if e.wcount > 0 {
 		if e.l0count == 0 {
@@ -394,32 +376,26 @@ func (e *Engine) scanHead() {
 		we = &e.l0[i][e.l0head[i]]
 	}
 	if len(e.heap) == 0 {
-		e.peekOK, e.peekWheel = we != nil, we != nil
-		if we != nil {
-			e.peekT = we.at
+		if we == nil {
+			return false, 0, false
 		}
-		return
+		return true, we.at, true
 	}
-	e.peekOK = true
 	h := &e.pool[e.heap[0]]
 	if we == nil || h.at < we.at || (h.at == we.at && h.rank == 0 && h.seq < we.seq) {
-		e.peekWheel, e.peekT = false, h.at
-	} else {
-		e.peekWheel, e.peekT = true, we.at
+		return false, h.at, true
 	}
+	return true, we.at, true
 }
 
 // Step executes the next event, if any, and reports whether one ran.
 func (e *Engine) Step() bool {
-	if !e.peekValid {
-		e.scanHead()
-	}
-	if !e.peekOK {
+	wheel, _, ok := e.scanHead()
+	if !ok {
 		return false
 	}
-	e.peekValid = false
-	if e.peekWheel {
-		// Pop the entry scanHead found (cursor still on its bucket).
+	if wheel {
+		// Pop the entry scanHead found (cursor on its bucket).
 		i := e.l0pos
 		h := e.l0head[i]
 		w := e.l0[i][h]
@@ -457,10 +433,8 @@ func (e *Engine) Step() bool {
 // PeekTime reports the time of the earliest pending event, if any,
 // without running it.
 func (e *Engine) PeekTime() (Time, bool) {
-	if !e.peekValid {
-		e.scanHead()
-	}
-	return e.peekT, e.peekOK
+	_, t, ok := e.scanHead()
+	return t, ok
 }
 
 // Run executes events until the queue is empty.
@@ -486,7 +460,6 @@ func (e *Engine) RunUntil(t Time) {
 // Drain removes all pending events without running them. Used when a
 // speculative execution is aborted.
 func (e *Engine) Drain() {
-	e.peekValid = false
 	for _, slot := range e.heap {
 		e.release(slot)
 	}
