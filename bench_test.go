@@ -24,6 +24,7 @@ import (
 
 	"specrt/internal/cache"
 	"specrt/internal/core"
+	"specrt/internal/cpu"
 	"specrt/internal/directory"
 	"specrt/internal/harness"
 	"specrt/internal/interconnect"
@@ -255,8 +256,9 @@ var fanoutHits int
 // cells' 8 KB / 64 KB caches and one line resident in every L2. An op
 // looks that line up in each processor's L2 in processor order, as a
 // write's invalidations visit the sharers: one frame of each of 4096
-// frame arrays, so the op measures host-memory reach into the frames,
-// not the directory.
+// caches, the same set of each, which the set-major frame blocks store
+// side by side for 64 caches at a time. The op measures host-memory
+// reach into the frames, not the directory.
 func BenchmarkL2ProbeFanout4096(b *testing.B) {
 	const procs = directory.MaxProcs
 	cfg := machine.DefaultConfig(procs)
@@ -281,6 +283,67 @@ func BenchmarkL2ProbeFanout4096(b *testing.B) {
 	b.StopTimer()
 	if fanoutHits != procs {
 		b.Fatalf("line resident in %d L2s, want %d", fanoutHits, procs)
+	}
+}
+
+// BenchmarkLockstepRound4096 is the processor-step layer of the wide
+// cells: one round in which each of directory.MaxProcs processors steps
+// one load through cpu.System and the engine, all due in the same cycle.
+// Every load is an L1 hit on one read-shared line, as the hot loop's
+// loads of its hot lines are (8 KB / 64 KB caches, plain protocol), so
+// the op measures engine dispatch, the step and the L1 probe of 4096
+// caches, and allocates nothing.
+func BenchmarkLockstepRound4096(b *testing.B) {
+	const procs = directory.MaxProcs
+	cfg := machine.DefaultConfig(procs)
+	cfg.L1.SizeBytes, cfg.L2.SizeBytes = 8*1024, 64*1024
+	m := machine.MustNew(cfg)
+	defer m.Release()
+	s := cpu.NewSystem(m, nil)
+	load := []cpu.Instr{cpu.Load(m.Space.Alloc("A", 16, 4, mem.Local, 0).ElemAddr(0))}
+	served := make([]bool, procs)
+	src := func(p *cpu.Proc) []cpu.Instr {
+		if served[p.ID] {
+			return nil
+		}
+		served[p.ID] = true
+		return load
+	}
+	ids := make([]int, procs)
+	srcs := make([]cpu.Source, procs)
+	for p := range ids {
+		ids[p], srcs[p] = p, src
+	}
+	round := func() {
+		clear(served)
+		s.Run(ids, srcs)
+	}
+	round() // the first round's misses fill every L1
+	// Rounds walk the clock through the engine's wheel, whose buckets
+	// (256 of one cycle, then 64 of 256 cycles) each grow on first use;
+	// give every bucket room for a round up front.
+	noop := func() {}
+	fill := func(t sim.Time) {
+		for range procs {
+			m.Eng.At(t, noop)
+		}
+	}
+	for d := range sim.Time(256) {
+		fill(m.Eng.Now() + d)
+	}
+	m.Eng.Run()
+	for range 64 {
+		fill(m.Eng.Now() + 256)
+		m.Eng.Run()
+	}
+	hits := m.Stats.L1Hits
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+	b.StopTimer()
+	if got := m.Stats.L1Hits - hits; got != uint64(b.N)*procs {
+		b.Fatalf("L1 hits = %d, want %d", got, uint64(b.N)*procs)
 	}
 }
 

@@ -128,14 +128,19 @@ type Stats struct {
 // cache's allocator when its line first needs bits and returns it when
 // the line goes or is reinstalled without bits; a cache that never sees
 // such a line holds no bit storage. A separate scratch window carries an
-// evicted victim's bits while its frame is being overwritten. Frames,
-// windows and scratch are recycled across machines via a pool, so
+// evicted victim's bits while its frame is being overwritten.
+//
+// A cache's frames live in a block it shares set-major with the other
+// caches built by the same NewBlock call (see block), so its frame for
+// set s is frames[s*stride]. Its occupancy bitmap, windows, scratch and
+// Stats are its own. Blocks are recycled across machines via a pool, so
 // steady-state simulation does no per-line allocation.
 type Cache struct {
 	cfg     Config
 	sets    int
-	frames  []Frame
-	wpl     int // access-bit words per line
+	frames  []Frame // the block's frames from this cache's slot on
+	stride  int     // the block's width: caches sharing it
+	wpl     int     // access-bit words per line
 	wins    *arena.Windows[abits.Word]
 	scratch []abits.Word
 	Stats   Stats
@@ -154,92 +159,132 @@ type Cache struct {
 	// order, so observable effects (writeback callbacks, bit resets) are
 	// identical to a full frame scan without touching every frame of a
 	// mostly empty cache between executions.
-	occ    []uint64
-	pooled *frameArrays // the pool entry frames, occ and windows came from
+	occ []uint64
+	blk *block // the block frames, occ and windows came from
 }
 
-// frameArrays is one pooled frame array together with its occupancy
-// bitmap and its access-bit windows, so building a cache takes all of
-// them from a single pool entry and a cache's window pages travel with
-// its frames.
-type frameArrays struct {
-	frames  []Frame
+// BlockWidth is the most caches that share one frame block. A machine
+// takes one L1 and one L2 block per BlockWidth processors, so in a
+// lockstep round, or a write's invalidation fan-out visiting sharers in
+// processor order, adjacent processors' frames for one set share host
+// cache lines and pages (EXPERIMENTS "Set-major frame blocks").
+const BlockWidth = 64
+
+// block is the frame storage of width caches of one geometry, stored
+// set-major: slot j's frame for set s is frames[s*width+j]. Each slot
+// keeps its own occupancy bitmap, access-bit windows and scratch window,
+// pooled with the frames so a cache's window pages travel with its block.
+type block struct {
+	frames []Frame
+	slots  []slot
+	wpl    int // the slots' window width
+	live   int // caches built on the block and not yet released
+}
+
+// slot is one cache's own bookkeeping within a block.
+type slot struct {
 	occ     []uint64
 	wins    *arena.Windows[abits.Word]
 	scratch []abits.Word
 }
 
-// framePool recycles frame arrays between cache instances, keyed by set
-// count. Kept because it pays: without it the wide cells' passes ran 25%
-// slower in the median (EXPERIMENTS "Storage scoped to its user").
-var framePool arena.SizePool[frameArrays]
+// blockPool recycles blocks between machines, keyed by shape (set count
+// and width). Kept because it pays: without it perfbench's wide passes
+// ran 20% slower in the median (EXPERIMENTS "Set-major frame blocks").
+var blockPool arena.SizePool[block]
 
-// getFrames returns an all-Invalid frame array, an all-clear bitmap and
-// an allocator with no window handed out, for windows of wpl words.
-// Pooled entries are already zeroed: Release clears exactly the frames
-// whose occupancy bits are set, which is every valid frame (frames
-// invalidated individually or flushed are zeroed at that point), so a
-// full clear — 128 KB per 512 KB L2 per execution — is not needed here.
-func getFrames(sets, wpl int) *frameArrays {
-	fa := framePool.Get(sets)
-	if fa == nil {
-		fa = &frameArrays{
-			frames: make([]Frame, sets),
-			occ:    make([]uint64, (sets+63)/64),
+func blockKey(sets, width int) int { return sets*BlockWidth + width - 1 }
+
+// getBlock returns a block of width slots, each with an all-Invalid
+// frame column, an all-clear bitmap and an allocator with no window
+// handed out, for windows of wpl words. Pooled blocks are already
+// zeroed: Release clears exactly the frames whose occupancy bits are
+// set, which is every valid frame (frames invalidated individually or
+// flushed are zeroed at that point), so a full clear — 128 KB per
+// 512 KB L2 per execution — is not needed here.
+func getBlock(sets, width, wpl int) *block {
+	b := blockPool.Get(blockKey(sets, width))
+	if b == nil {
+		b = &block{frames: make([]Frame, sets*width), slots: make([]slot, width)}
+		words := (sets + 63) / 64
+		occ := make([]uint64, width*words)
+		for j := range b.slots {
+			b.slots[j].occ = occ[j*words : (j+1)*words : (j+1)*words]
 		}
 	}
-	if fa.wins == nil || fa.wins.Width() != wpl {
-		fa.wins = arena.NewWindows[abits.Word](wpl)
-		fa.scratch = make([]abits.Word, wpl)
+	if b.wpl != wpl {
+		b.wpl = wpl
+		scratch := make([]abits.Word, width*wpl)
+		for j := range b.slots {
+			b.slots[j].wins = arena.NewWindows[abits.Word](wpl)
+			b.slots[j].scratch = scratch[j*wpl : (j+1)*wpl : (j+1)*wpl]
+		}
 	}
-	return fa
+	b.live = width
+	return b
 }
 
-// New builds a cache; it panics on invalid configuration (a programming
-// error, not a runtime condition).
-func New(cfg Config) *Cache {
+// NewBlock builds width caches of one geometry whose frames share one
+// set-major block, 1 <= width <= BlockWidth. It panics on invalid
+// configuration (a programming error, not a runtime condition).
+func NewBlock(cfg Config, width int) []*Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
+	if width < 1 || width > BlockWidth {
+		panic(fmt.Sprintf("cache: block width %d outside [1,%d]", width, BlockWidth))
+	}
 	sets := cfg.SizeBytes / cfg.LineBytes
 	wpl := abits.WordsPerLine(cfg.LineBytes)
-	fa := getFrames(sets, wpl)
-	c := &Cache{
+	b := getBlock(sets, width, wpl)
+	proto := Cache{
 		cfg:       cfg,
 		sets:      sets,
-		frames:    fa.frames,
+		stride:    width,
 		wpl:       wpl,
-		wins:      fa.wins,
-		scratch:   fa.scratch,
-		occ:       fa.occ,
-		pooled:    fa,
+		blk:       b,
 		lineShift: uint64(bits.TrailingZeros64(uint64(cfg.LineBytes))),
 	}
 	if sets&(sets-1) == 0 {
-		c.pow2 = true
-		c.setMask = uint64(sets - 1)
+		proto.pow2 = true
+		proto.setMask = uint64(sets - 1)
 	}
-	return c
+	caches := make([]Cache, width)
+	out := make([]*Cache, width)
+	for j := range caches {
+		c, s := &caches[j], &b.slots[j]
+		*c = proto
+		c.frames, c.occ, c.wins, c.scratch = b.frames[j:], s.occ, s.wins, s.scratch
+		out[j] = c
+	}
+	return out
 }
 
-// Release returns the cache's frame array and windows to the pool. The
+// New builds a standalone cache: a block of width one. It panics on
+// invalid configuration.
+func New(cfg Config) *Cache { return NewBlock(cfg, 1)[0] }
+
+// Release clears the cache's frames and returns its windows; once every
+// cache of its block is released, the block goes back to the pool. The
 // cache must not be used afterwards; call it once the owning machine is
 // done simulating.
 func (c *Cache) Release() {
-	if c.pooled == nil {
+	if c.blk == nil {
 		return
 	}
-	// Restore the pooled-entry invariant (see getFrames): zero every
+	// Restore the pooled-block invariant (see getBlock): zero every
 	// valid frame and its occupancy word; the rest are already zero.
 	for wi, w := range c.occ {
 		for ; w != 0; w &= w - 1 {
-			c.frames[wi<<6|bits.TrailingZeros64(w)] = Frame{}
+			*c.frame(wi<<6 | bits.TrailingZeros64(w)) = Frame{}
 		}
 		c.occ[wi] = 0
 	}
 	c.wins.Reset()
-	framePool.Put(c.sets, c.pooled)
-	c.frames, c.occ, c.pooled = nil, nil, nil
+	if c.blk.live--; c.blk.live == 0 {
+		blockPool.Put(blockKey(c.sets, c.stride), c.blk)
+	}
+	c.frames, c.occ, c.blk = nil, nil, nil
 	c.wins, c.scratch = nil, nil
 }
 
@@ -272,6 +317,9 @@ func (c *Cache) set(n uint64) int {
 	return int(n % uint64(c.sets))
 }
 
+// frame returns the cache's frame for set s.
+func (c *Cache) frame(s int) *Frame { return &c.frames[s*c.stride] }
+
 // addr returns the base address of the line a packed tag word names.
 func (c *Cache) addr(tag uint32) mem.Addr {
 	return mem.Addr(tag>>stateBits) << c.lineShift
@@ -285,7 +333,7 @@ func (c *Cache) Tag(fr *Frame) mem.Addr { return c.addr(fr.tag) }
 // It does not update statistics; callers record hit/miss once per access.
 func (c *Cache) Lookup(a mem.Addr) *Frame {
 	n := c.lineNum(a)
-	fr := &c.frames[c.set(n)]
+	fr := c.frame(c.set(n))
 	if fr.holds(n) {
 		return fr
 	}
@@ -317,7 +365,7 @@ func (c *Cache) Install(a mem.Addr, st State, bits []abits.Word) (victim Line, e
 		panic(fmt.Sprintf("cache: address %#x at or above the %#x address bound", a, c.cfg.MaxAddr()))
 	}
 	set := c.set(n)
-	fr := &c.frames[set]
+	fr := c.frame(set)
 	tag := uint32(n) << stateBits
 	switch {
 	case fr.tag == 0:
@@ -396,7 +444,7 @@ func (c *Cache) line(fr Frame) Line {
 func (c *Cache) Invalidate(a mem.Addr) (old Line, ok bool) {
 	n := c.lineNum(a)
 	set := c.set(n)
-	fr := &c.frames[set]
+	fr := c.frame(set)
 	if !fr.holds(n) {
 		return Line{}, false
 	}
@@ -414,7 +462,7 @@ func (c *Cache) Invalidate(a mem.Addr) (old Line, ok bool) {
 func (c *Cache) Downgrade(a mem.Addr) (old Line, ok bool) {
 	n := c.lineNum(a)
 	set := c.set(n)
-	fr := &c.frames[set]
+	fr := c.frame(set)
 	if !fr.holds(n) {
 		return Line{}, false
 	}
@@ -431,11 +479,11 @@ func (c *Cache) FlushAll(cb func(Line)) {
 	c.Stats.Flushes++
 	for wi, w := range c.occ {
 		for ; w != 0; w &= w - 1 {
-			i := wi<<6 | bits.TrailingZeros64(w)
-			if c.frames[i].State() == Dirty && cb != nil {
-				cb(c.line(c.frames[i]))
+			fr := c.frame(wi<<6 | bits.TrailingZeros64(w))
+			if fr.State() == Dirty && cb != nil {
+				cb(c.line(*fr))
 			}
-			c.frames[i] = Frame{}
+			*fr = Frame{}
 		}
 		c.occ[wi] = 0
 	}
@@ -449,8 +497,7 @@ func (c *Cache) FlushAll(cb func(Line)) {
 func (c *Cache) ClearBits(keep func(line mem.Addr) bool, mutate func(abits.Word) abits.Word) {
 	for wi, w := range c.occ {
 		for ; w != 0; w &= w - 1 {
-			i := wi<<6 | bits.TrailingZeros64(w)
-			fr := &c.frames[i]
+			fr := c.frame(wi<<6 | bits.TrailingZeros64(w))
 			if fr.win == 0 || keep != nil && !keep(c.addr(fr.tag)) {
 				continue
 			}
@@ -468,7 +515,7 @@ func (c *Cache) ClearBits(keep func(line mem.Addr) bool, mutate func(abits.Word)
 func (c *Cache) ForEach(fn func(Line)) {
 	for wi, w := range c.occ {
 		for ; w != 0; w &= w - 1 {
-			fn(c.line(c.frames[wi<<6|bits.TrailingZeros64(w)]))
+			fn(c.line(*c.frame(wi<<6 | bits.TrailingZeros64(w))))
 		}
 	}
 }

@@ -1,7 +1,9 @@
 package cache
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -407,26 +409,145 @@ func TestWalkOrderNonPow2(t *testing.T) {
 	checkWalkOrder(t, Config{SizeBytes: 7 * 64, LineBytes: 64})
 }
 
-// Release zeroes exactly the valid frames, so a pooled frame array comes
-// back all-Invalid with a clear bitmap.
-func TestReleaseLeavesPooledFramesZero(t *testing.T) {
-	cfg := Config{SizeBytes: 100 * 64, LineBytes: 64}
-	c := New(cfg)
-	for i := 0; i < 100; i += 3 {
-		c.Install(mem.Addr(i*64), Dirty, nil)
-	}
-	c.Invalidate(0)
-	c.Release()
-	c = New(cfg)
-	defer c.Release()
-	for i, fr := range c.frames {
-		if fr != (Frame{}) {
-			t.Fatalf("frame %d not zero: %+v", i, fr)
+// fillBlock builds width caches sharing one block of sets sets and puts a
+// line in every set of every cache: cache j's line for set s lies in
+// cache-sized page j+1, every third line is dirty and every other one
+// carries bits naming its cache and set.
+func fillBlock(t *testing.T, sets, width int) (cs []*Cache, lines [][]mem.Addr) {
+	t.Helper()
+	cs = NewBlock(Config{SizeBytes: sets * 64, LineBytes: 64}, width)
+	lines = make([][]mem.Addr, width)
+	for j, c := range cs {
+		for s := 0; s < sets; s++ {
+			a := mem.Addr((j+1)*sets+s) * 64
+			st := Clean
+			if s%3 == 0 {
+				st = Dirty
+			}
+			var b []abits.Word
+			if s%2 == 0 {
+				b = make([]abits.Word, 16)
+				b[j] = abits.Word(0).WithWrite(true)
+				b[s%16] = b[s%16].WithROnly(true)
+			}
+			c.Install(a, st, b)
+			lines[j] = append(lines[j], a)
 		}
 	}
-	for i, w := range c.occ {
-		if w != 0 {
-			t.Fatalf("occupancy word %d = %#x", i, w)
+	for j, c := range cs {
+		for _, a := range lines[j] {
+			if c.Lookup(a) == nil {
+				t.Fatalf("cache %d lost its line %#x while the block was filled", j, a)
+			}
+		}
+	}
+	return cs, lines
+}
+
+// snapshot renders what a cache shows: every line ForEach visits and the
+// result of looking up each of probes, with state and bits.
+func snapshot(c *Cache, probes []mem.Addr) string {
+	var sb strings.Builder
+	c.ForEach(func(l Line) { fmt.Fprintf(&sb, "%#x %v %v;", l.Tag, l.State, l.Bits) })
+	for _, a := range probes {
+		if fr := c.Lookup(a); fr != nil {
+			fmt.Fprintf(&sb, "%#x:%v %v;", a, fr.State(), c.Bits(fr))
+		} else {
+			fmt.Fprintf(&sb, "%#x:miss;", a)
+		}
+	}
+	return sb.String()
+}
+
+// Caches sharing a block see only their own frames: every mutator run on
+// the middle cache of three leaves what its neighbours' Lookup and
+// ForEach return unchanged, at a power-of-two and a non-power-of-two set
+// count.
+func TestBlockIsolation(t *testing.T) {
+	for _, sets := range []int{100, 64} {
+		cs, lines := fillBlock(t, sets, 3)
+		c := cs[1]
+		var probes []mem.Addr
+		for _, l := range lines {
+			probes = append(probes, l...)
+		}
+		foreign := mem.Addr(5*sets) * 64 // page 5: lines only c installs
+		for s := 0; s < sets; s++ {
+			probes = append(probes, foreign+mem.Addr(s*64))
+		}
+		want := [2]string{snapshot(cs[0], probes), snapshot(cs[2], probes)}
+		check := func(op string) {
+			t.Helper()
+			for i, n := range []*Cache{cs[0], cs[2]} {
+				if got := snapshot(n, probes); got != want[i] {
+					t.Fatalf("%d sets: %s on cache 1 changed cache %d:\n got %s\nwant %s", sets, op, 2*i, got, want[i])
+				}
+			}
+		}
+		bits := make([]abits.Word, 16)
+		bits[7] = abits.Word(0).WithNoShr(true)
+		for s := 0; s < sets; s += 2 {
+			if _, ev := c.Install(foreign+mem.Addr(s*64), Dirty, bits); !ev {
+				t.Fatalf("%d sets: Install into full set %d evicted nothing", sets, s)
+			}
+		}
+		check("Install with eviction")
+		for s := 1; s < sets; s += 4 {
+			if _, ok := c.Invalidate(lines[1][s]); !ok {
+				t.Fatalf("%d sets: Invalidate missed set %d", sets, s)
+			}
+		}
+		check("Invalidate")
+		c.Install(lines[1][1], Clean, nil)
+		check("Install into an empty set")
+		for s := 3; s < sets; s += 12 { // dirty, not evicted or invalidated above
+			if _, ok := c.Downgrade(lines[1][s]); !ok {
+				t.Fatalf("%d sets: Downgrade missed set %d", sets, s)
+			}
+		}
+		check("Downgrade")
+		c.EnsureBits(c.Lookup(lines[1][1]))[2] = abits.Word(0).WithROnly(true)
+		c.SetBits(c.Lookup(lines[1][3]), bits)
+		check("EnsureBits/SetBits")
+		c.ClearBits(func(line mem.Addr) bool { return line < foreign }, func(abits.Word) abits.Word { return 0 })
+		c.ClearBits(nil, abits.Word.ClearIteration)
+		check("ClearBits")
+		c.FlushAll(func(Line) {})
+		check("FlushAll")
+		for s := 0; s < sets; s += 3 {
+			c.Install(foreign+mem.Addr(s*64), Dirty, bits)
+		}
+		c.Release()
+		check("Release")
+		cs[0].Release()
+		cs[2].Release()
+	}
+}
+
+// Release zeroes exactly the valid frames, so once every cache of a block
+// is released the block goes back to the pool all-Invalid with clear
+// bitmaps, whatever each cache held.
+func TestReleaseLeavesPooledFramesZero(t *testing.T) {
+	cs, lines := fillBlock(t, 100, 3)
+	b := cs[0].blk
+	cs[0].Invalidate(lines[0][0])
+	cs[1].FlushAll(nil)
+	for i, c := range cs {
+		c.Release()
+		if b.live != len(cs)-1-i {
+			t.Fatalf("after %d releases the block counts %d live caches", i+1, b.live)
+		}
+	}
+	for i, fr := range b.frames {
+		if fr != (Frame{}) {
+			t.Fatalf("frame %d (set %d, slot %d) not zero: %+v", i, i/3, i%3, fr)
+		}
+	}
+	for j, sl := range b.slots {
+		for i, w := range sl.occ {
+			if w != 0 {
+				t.Fatalf("slot %d occupancy word %d = %#x", j, i, w)
+			}
 		}
 	}
 }

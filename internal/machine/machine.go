@@ -357,16 +357,23 @@ func New(cfg Config) (*Machine, error) {
 		lineBytes: mem.Addr(cfg.L1.LineBytes),
 		msgq:      make([][][]*pendingMsg, cfg.Procs),
 	}
-	for i := 0; i < cfg.Procs; i++ {
-		m.Procs[i] = &Proc{ID: i, L1: cache.New(cfg.L1), L2: cache.New(cfg.L2)}
-		m.Dirs[i] = directory.NewShared(i, m.DirTable)
-		m.Home[i].TrackDepth(homeDepthRing)
+	// One L1 and one L2 frame block per cache.BlockWidth processors, so
+	// neighbouring processors' frames for one set sit side by side.
+	for lo := 0; lo < cfg.Procs; lo += cache.BlockWidth {
+		w := min(cache.BlockWidth, cfg.Procs-lo)
+		l1, l2 := cache.NewBlock(cfg.L1, w), cache.NewBlock(cfg.L2, w)
+		for j := range w {
+			i := lo + j
+			m.Procs[i] = &Proc{ID: i, L1: l1[j], L2: l2[j]}
+			m.Dirs[i] = directory.NewShared(i, m.DirTable)
+			m.Home[i].TrackDepth(homeDepthRing)
+		}
 	}
 	return m, nil
 }
 
-// Release returns the caches' frames and access-bit windows to their
-// pool. The machine must not simulate afterwards; call it once its
+// Release returns the caches' frame blocks and access-bit windows to
+// their pool. The machine must not simulate afterwards; call it once its
 // final stats have been collected.
 func (m *Machine) Release() {
 	for _, p := range m.Procs {

@@ -611,3 +611,62 @@ func TestDrainMessagesEmptyIsNoop(t *testing.T) {
 	m := testMachine(t, 2)
 	m.DrainMessages(0, 1) // must not panic
 }
+
+// A 130-processor machine spans two full frame blocks per cache level and
+// a partial third of two caches. Every processor reads one shared line and
+// a private line of its own, the last processor's write invalidates the
+// other 129 copies, and each cache holds exactly its own processor's
+// lines throughout, with inclusion. Flushed and released, the blocks go
+// back to the pool empty: a machine built from them misses on every line.
+func TestCachesAcrossPartialBlock(t *testing.T) {
+	const procs = 2*cache.BlockWidth + 2
+	cfg := DefaultConfig(procs)
+	cfg.L1.SizeBytes, cfg.L2.SizeBytes = 16*1024, 64*1024 // more L1 sets than lines used
+	cfg.Contention = false
+	m := MustNew(cfg)
+	arr := m.Space.Alloc("a", (procs+1)*16, 4, mem.RoundRobin, 0)
+	shared := arr.ElemAddr(0)
+	own := func(p int) mem.Addr { return arr.ElemAddr(16 * (p + 1)) }
+	check := func(m *Machine, stage string, sharedAt func(p int) bool, ownHeld bool) {
+		t.Helper()
+		for p, pr := range m.Procs {
+			for lvl, c := range []*cache.Cache{pr.L1, pr.L2} {
+				if got := c.Resident(shared); got != sharedAt(p) {
+					t.Fatalf("%s: processor %d L%d holds the shared line = %v", stage, p, lvl+1, got)
+				}
+				for q := 0; q < procs; q++ {
+					if got, want := c.Resident(own(q)), ownHeld && q == p; got != want {
+						t.Fatalf("%s: processor %d L%d holds processor %d's line = %v", stage, p, lvl+1, q, got)
+					}
+				}
+			}
+			pr.L1.ForEach(func(l cache.Line) {
+				if !pr.L2.Resident(l.Tag) {
+					t.Fatalf("%s: processor %d: L1 line %#x not in L2", stage, p, l.Tag)
+				}
+			})
+		}
+	}
+	for p := 0; p < procs; p++ {
+		m.Read(p, shared)
+		m.Read(p, own(p))
+	}
+	check(m, "after reads", func(int) bool { return true }, true)
+	m.Write(procs-1, shared)
+	if m.Stats.Invalidations != procs-1 {
+		t.Fatalf("write invalidated %d sharers, want %d", m.Stats.Invalidations, procs-1)
+	}
+	check(m, "after write", func(p int) bool { return p == procs-1 }, true)
+	if fr := m.Procs[procs-1].L1.Lookup(shared); fr.State() != cache.Dirty {
+		t.Fatalf("writer's L1 copy is %v, want DIRTY", fr.State())
+	}
+	m.FlushCaches()
+	check(m, "after FlushCaches", func(int) bool { return false }, false)
+	for p := 0; p < procs; p++ {
+		m.Read(p, own(p)) // refill, so Release has frames to clear
+	}
+	m.Release()
+	m = MustNew(cfg)
+	defer m.Release()
+	check(m, "after Release", func(int) bool { return false }, false)
+}
