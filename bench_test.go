@@ -385,6 +385,40 @@ func BenchmarkNonPrivReadHit(b *testing.B) {
 	}
 }
 
+// BenchmarkNonPrivReadHitStamped is BenchmarkNonPrivReadHit the way a
+// processor runs it: loads stamped with their array slot and element,
+// stepped through cpu.System and the engine, in batches of 256.
+func BenchmarkNonPrivReadHitStamped(b *testing.B) {
+	m := benchMachine(2)
+	c := core.NewController(m)
+	r := m.Space.Alloc("A", 1024, 4, mem.RoundRobin, 0)
+	arr := c.AddNonPriv(r)
+	c.Arm()
+	s := cpu.NewSystem(m, c)
+	batch := make([]cpu.Instr, 256)
+	for i := range batch {
+		batch[i] = cpu.LoadElem(r.ElemAddr(0), arr.Slot(), 0)
+	}
+	left := 0
+	src := func(*cpu.Proc) []cpu.Instr {
+		n := min(left, len(batch))
+		left -= n
+		return batch[:n]
+	}
+	run := func(n int) {
+		left = n
+		s.Run([]int{0}, []cpu.Source{src})
+	}
+	run(1)
+	hits := m.Stats.L1Hits
+	b.ResetTimer()
+	run(b.N)
+	b.StopTimer()
+	if got := m.Stats.L1Hits - hits; got != uint64(b.N) {
+		b.Fatalf("L1 hits = %d, want %d", got, b.N)
+	}
+}
+
 func BenchmarkNonPrivWriteMiss(b *testing.B) {
 	m := benchMachine(2)
 	c := core.NewController(m)

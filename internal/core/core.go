@@ -128,6 +128,10 @@ type Array struct {
 	Region mem.Region
 	Proto  Protocol
 
+	// slot is the translation stamp slot naming the array (Unstamped
+	// past maxSlots).
+	slot uint8
+
 	// RICO enables read-in/copy-out support for privatized arrays
 	// (§3.3). Without it the private copies start logically undefined
 	// and a read-in situation is a protocol error.
@@ -298,7 +302,7 @@ func (c *Controller) AddNonPriv(r mem.Region) *Array {
 		Proto:  NonPriv,
 		np:     arena.NewI32(r.Elems, 0),
 	}
-	c.arrays = append(c.arrays, a)
+	c.register(a)
 	return a
 }
 
@@ -330,8 +334,16 @@ func (c *Controller) AddPriv(r mem.Region, priv []mem.Region, rico bool) *Array 
 		pMaxR1st: arena.NewI32(n*r.Elems, 0),
 		pMaxW:    arena.NewI32(n*r.Elems, 0),
 	}
-	c.arrays = append(c.arrays, a)
+	c.register(a)
 	return a
+}
+
+// register adds a to the translation table, giving it the next slot.
+func (c *Controller) register(a *Array) {
+	if len(c.arrays) < maxSlots {
+		a.slot = FirstSlot + uint8(len(c.arrays))
+	}
+	c.arrays = append(c.arrays, a)
 }
 
 // Arrays returns the registered arrays under test.
@@ -417,47 +429,75 @@ func (c *Controller) fail(reason FailReason, a *Array, elem, proc int, iter int3
 	return c.failure
 }
 
+// Translation stamps. An emitter that knows which array under test an
+// access falls in, and at which element, stamps the instruction with
+// that translation (a slot and an element), so Access need not look the
+// address up again. Slot s >= FirstSlot names the array at index
+// s-FirstSlot of Arrays; a Controller gives slots to the first maxSlots.
+const (
+	// Unstamped leaves the translation to the controller, which looks
+	// the address up in its translation table.
+	Unstamped uint8 = iota
+	// NoArray marks an address in no array under test.
+	NoArray
+	// FirstSlot is the slot of the first registered array.
+	FirstSlot
+)
+
+// maxSlots is the number of arrays a slot can name; arrays registered
+// after them have no slot (Array.Slot returns Unstamped).
+const maxSlots = math.MaxUint8 + 1 - int(FirstSlot)
+
+// Slot returns the translation stamp slot that names a, or Unstamped if
+// a has none.
+func (a *Array) Slot() uint8 { return a.slot }
+
 // Read performs a load by processor p from address a (in a logical/shared
 // region), applying the protocol the translation table selects. It returns
 // the latency the processor observes and a failure, if the access itself
 // detected one.
 func (c *Controller) Read(p int, a mem.Addr) (sim.Time, error) {
-	arr := c.lookupArmed(a)
-	if arr == nil {
-		return c.M.Read(p, a), nil
-	}
-	return c.access(arr, p, a, false)
+	return c.Access(p, a, Unstamped, 0, false)
 }
 
 // Write performs a store by processor p to address a under the selected
 // protocol. Writes do not stall the processor; the returned latency is
 // what the processor observes.
 func (c *Controller) Write(p int, a mem.Addr) (sim.Time, error) {
-	arr := c.lookupArmed(a)
-	if arr == nil {
-		return c.M.Write(p, a), nil
-	}
-	return c.access(arr, p, a, true)
+	return c.Access(p, a, Unstamped, 0, true)
 }
 
-// access dispatches an access to an armed array to its protocol.
-func (c *Controller) access(arr *Array, p int, a mem.Addr, write bool) (sim.Time, error) {
+// Access performs a load (or, if write, a store) by processor p of
+// address a, whose translation is stamped as slot and element e: the
+// array that slot names and a's element there, NoArray, or Unstamped
+// (then e is ignored and the translation table classifies a). A stamp
+// must agree with the translation table; the emitter vouches for it.
+func (c *Controller) Access(p int, a mem.Addr, slot uint8, e int, write bool) (sim.Time, error) {
+	var arr *Array
+	if c.armed {
+		switch slot {
+		case Unstamped:
+			if arr = c.findArray(a); arr != nil {
+				e = arr.Region.ElemIndex(a)
+			}
+		case NoArray:
+		default:
+			arr = c.arrays[slot-FirstSlot]
+		}
+	}
 	switch {
+	case arr == nil && write:
+		return c.M.Write(p, a), nil
+	case arr == nil:
+		return c.M.Read(p, a), nil
 	case arr.Proto == NonPriv && write:
-		return c.npWrite(arr, p, a)
+		return c.npWrite(arr, p, e, a)
 	case arr.Proto == NonPriv:
-		return c.npRead(arr, p, a)
+		return c.npRead(arr, p, e, a)
 	case write:
-		return c.pvWrite(arr, p, a)
+		return c.pvWrite(arr, p, e)
 	}
-	return c.pvRead(arr, p, a)
-}
-
-func (c *Controller) lookupArmed(a mem.Addr) *Array {
-	if !c.armed {
-		return nil
-	}
-	return c.findArray(a)
+	return c.pvRead(arr, p, e)
 }
 
 // mergeWriteback folds the access-bit tags of a displaced dirty line into

@@ -20,8 +20,8 @@ import (
 // receives read request" (Figure 6-(b)). A hit that changes a clean
 // line's tag sends First_update or ROnly_update to the home; a tag change
 // on a dirty line tells the directory nothing until writeback.
-func (c *Controller) npRead(arr *Array, p int, a mem.Addr) (sim.Time, error) {
-	e := c.grain(arr.Region, arr.Region.ElemIndex(a))
+func (c *Controller) npRead(arr *Array, p, e int, a mem.Addr) (sim.Time, error) {
+	e = c.grain(arr.Region, e)
 	wi := wordIndexOf(arr.Region, e, c.M.LineBytes())
 
 	fr, cc := c.M.Lookup(p, a)
@@ -81,8 +81,8 @@ func (c *Controller) npRead(arr *Array, p int, a mem.Addr) (sim.Time, error) {
 // "Home receives write request" (Figure 6-(d)). A dirty hit whose tag
 // cannot FAIL becomes OWN+NoShr locally, and the directory learns of it
 // at writeback.
-func (c *Controller) npWrite(arr *Array, p int, a mem.Addr) (sim.Time, error) {
-	e := c.grain(arr.Region, arr.Region.ElemIndex(a))
+func (c *Controller) npWrite(arr *Array, p, e int, a mem.Addr) (sim.Time, error) {
+	e = c.grain(arr.Region, e)
 	wi := wordIndexOf(arr.Region, e, c.M.LineBytes())
 	procLat := c.M.Cfg.Lat.L1Hit // writes do not stall the processor
 

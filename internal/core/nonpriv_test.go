@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -535,5 +536,33 @@ func TestLineGrainLargeElements(t *testing.T) {
 	e.m.FlushCaches()
 	if f := e.failed(); f != nil {
 		t.Fatalf("unexpected failure: %v", f)
+	}
+}
+
+// Arrays take translation slots in registration order, FirstSlot first,
+// and those past the slots a uint8 names take none. A stamped access
+// reaches the arm and element the address-keyed entry finds: processor
+// 0's stamped write and processor 1's read by address of the same
+// element conflict, in the last slotted array and in the unslotted one.
+func TestSlotsMatchAddressEntry(t *testing.T) {
+	e := newEnv(t, 2)
+	var arrs []*Array
+	for range maxSlots + 1 {
+		arrs = append(arrs, e.c.AddNonPriv(e.alloc("A", 16, 4)))
+	}
+	for i, want := range map[int]uint8{0: FirstSlot, maxSlots - 1: math.MaxUint8, maxSlots: Unstamped} {
+		if got := arrs[i].Slot(); got != want {
+			t.Fatalf("array %d has slot %d, want %d", i, got, want)
+		}
+	}
+	for _, a := range arrs[maxSlots-1:] {
+		e.c.Arm()
+		if _, err := e.c.Access(0, a.Region.ElemAddr(3), a.Slot(), 3, true); err != nil {
+			t.Fatalf("slot %d: stamped write: %v", a.Slot(), err)
+		}
+		err := e.read(t, 1, a.Region, 3)
+		if f, ok := err.(*Failure); !ok || f.Reason != FailReadOfWritten || f.Elem != 3 {
+			t.Fatalf("slot %d: read of the written element = %v, want %q at elem 3", a.Slot(), err, FailReadOfWritten)
+		}
 	}
 }

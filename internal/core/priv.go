@@ -19,8 +19,7 @@ import (
 // pvRead implements "Processor read" (Figure 8-(a)) with the private-
 // directory read path (Figure 8-(c)) on a miss, including read-in. The
 // first touch of a word in an iteration signals the directory.
-func (c *Controller) pvRead(arr *Array, p int, a mem.Addr) (sim.Time, error) {
-	e := arr.Region.ElemIndex(a)
+func (c *Controller) pvRead(arr *Array, p, e int) (sim.Time, error) {
 	iter := c.curIter[p]
 	priv := arr.Priv[p]
 	pa := priv.ElemAddr(e)
@@ -92,8 +91,7 @@ func (c *Controller) pvRead(arr *Array, p int, a mem.Addr) (sim.Time, error) {
 // pvWrite implements "Processor write" (Figure 9-(f)) with the private-
 // directory write path (Figure 9-(h)) on a miss, including read-in for
 // write.
-func (c *Controller) pvWrite(arr *Array, p int, a mem.Addr) (sim.Time, error) {
-	e := arr.Region.ElemIndex(a)
+func (c *Controller) pvWrite(arr *Array, p, e int) (sim.Time, error) {
 	iter := c.curIter[p]
 	priv := arr.Priv[p]
 	pa := priv.ElemAddr(e)

@@ -9,6 +9,7 @@ package cpu
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"specrt/internal/core"
@@ -66,23 +67,52 @@ func (k Kind) String() string {
 }
 
 // Instr is one processor instruction. A flat struct (not an interface)
-// keeps instruction streams allocation-free.
+// keeps instruction streams allocation-free, and it is packed into 16
+// bytes, since every processor's instruction buffers hold them by the
+// thousand.
 type Instr struct {
-	Kind   Kind
-	Cycles sim.Time // KCompute
-	Addr   mem.Addr // KLoad, KStore
-	ID     int      // lock/barrier ID, or iteration number for KBeginIter
+	Kind Kind
+	// Slot is a load's or store's translation stamp (core.Access): the
+	// slot of the array under test it falls in, core.NoArray, or
+	// core.Unstamped, which leaves the lookup to the controller.
+	Slot uint8
+	// ID is a lock or barrier ID, a KBeginIter iteration number, or the
+	// element of a stamped load or store.
+	ID int32
+	// op is the address of a load or store, or the cycles of a compute.
+	op uint64
 }
 
+// Addr returns a load's or store's address.
+func (in Instr) Addr() mem.Addr { return mem.Addr(in.op) }
+
+// Cycles returns a compute's cycles.
+func (in Instr) Cycles() sim.Time { return sim.Time(in.op) }
+
 // Convenience constructors.
-func Compute(cycles sim.Time) Instr { return Instr{Kind: KCompute, Cycles: cycles} }
-func Load(a mem.Addr) Instr         { return Instr{Kind: KLoad, Addr: a} }
-func Store(a mem.Addr) Instr        { return Instr{Kind: KStore, Addr: a} }
-func LockAcq(id int) Instr          { return Instr{Kind: KLockAcq, ID: id} }
-func LockRel(id int) Instr          { return Instr{Kind: KLockRel, ID: id} }
-func Barrier(id int) Instr          { return Instr{Kind: KBarrier, ID: id} }
-func BeginIter(iter int) Instr      { return Instr{Kind: KBeginIter, ID: iter} }
+func Compute(cycles sim.Time) Instr { return Instr{Kind: KCompute, op: uint64(cycles)} }
+func Load(a mem.Addr) Instr         { return Instr{Kind: KLoad, op: uint64(a)} }
+func Store(a mem.Addr) Instr        { return Instr{Kind: KStore, op: uint64(a)} }
+func LockAcq(id int) Instr          { return Instr{Kind: KLockAcq, ID: int32(id)} }
+func LockRel(id int) Instr          { return Instr{Kind: KLockRel, ID: int32(id)} }
+func Barrier(id int) Instr          { return Instr{Kind: KBarrier, ID: int32(id)} }
+func BeginIter(iter int) Instr      { return Instr{Kind: KBeginIter, ID: int32(iter)} }
 func Exception() Instr              { return Instr{Kind: KException} }
+
+// LoadElem returns a load of a stamped with its translation: a is
+// element e of the array in translation slot slot (core.NoArray if it is
+// in none). An element past int32 leaves the load unstamped.
+func LoadElem(a mem.Addr, slot uint8, e int) Instr { return stamp(Load(a), slot, e) }
+
+// StoreElem is LoadElem for a store.
+func StoreElem(a mem.Addr, slot uint8, e int) Instr { return stamp(Store(a), slot, e) }
+
+func stamp(in Instr, slot uint8, e int) Instr {
+	if e <= math.MaxInt32 {
+		in.Slot, in.ID = slot, int32(e)
+	}
+	return in
+}
 
 // Breakdown is a processor's time split into the paper's categories.
 type Breakdown struct {
@@ -356,21 +386,11 @@ func (s *System) exec1(p *Proc, in Instr) {
 
 	switch in.Kind {
 	case KCompute:
-		p.B.Busy += in.Cycles
-		eng.Schedule(in.Cycles, p.stepFn)
+		p.B.Busy += in.Cycles()
+		eng.Schedule(in.Cycles(), p.stepFn)
 
-	case KLoad:
-		lat, err := s.read(p.ID, in.Addr)
-		s.accountMem(p, lat)
-		if err != nil {
-			s.failSync(err)
-			s.finish(p)
-			return
-		}
-		eng.Schedule(lat, p.stepFn)
-
-	case KStore:
-		lat, err := s.write(p.ID, in.Addr)
+	case KLoad, KStore:
+		lat, err := s.access(p.ID, in)
 		s.accountMem(p, lat)
 		if err != nil {
 			s.failSync(err)
@@ -382,19 +402,19 @@ func (s *System) exec1(p *Proc, in Instr) {
 	case KBeginIter:
 		var cost sim.Time
 		if s.Ctl != nil {
-			cost = s.Ctl.BeginIteration(p.ID, in.ID)
+			cost = s.Ctl.BeginIteration(p.ID, int(in.ID))
 		}
 		p.B.Busy += cost
 		eng.Schedule(cost, p.stepFn)
 
 	case KLockAcq:
-		s.lockAcquire(p, in.ID)
+		s.lockAcquire(p, int(in.ID))
 
 	case KLockRel:
-		s.lockRelease(p, in.ID)
+		s.lockRelease(p, int(in.ID))
 
 	case KBarrier:
-		s.barrierArrive(p, in.ID)
+		s.barrierArrive(p, int(in.ID))
 
 	case KException:
 		// The speculative execution aborts immediately; the run-time
@@ -404,18 +424,17 @@ func (s *System) exec1(p *Proc, in Instr) {
 	}
 }
 
-func (s *System) read(p int, a mem.Addr) (sim.Time, error) {
+// access performs p's load or store in. With a controller, the access
+// goes through the translation stamp the instruction carries.
+func (s *System) access(p int, in Instr) (sim.Time, error) {
+	write := in.Kind == KStore
 	if s.Ctl != nil {
-		return s.Ctl.Read(p, a)
+		return s.Ctl.Access(p, in.Addr(), in.Slot, int(in.ID), write)
 	}
-	return s.M.Read(p, a), nil
-}
-
-func (s *System) write(p int, a mem.Addr) (sim.Time, error) {
-	if s.Ctl != nil {
-		return s.Ctl.Write(p, a)
+	if write {
+		return s.M.Write(p, in.Addr()), nil
 	}
-	return s.M.Write(p, a), nil
+	return s.M.Read(p, in.Addr()), nil
 }
 
 // failSync handles a failure detected synchronously by p's own access.

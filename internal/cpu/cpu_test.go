@@ -1,8 +1,10 @@
 package cpu
 
 import (
+	"math"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"specrt/internal/core"
 	"specrt/internal/machine"
@@ -400,5 +402,35 @@ func TestBatchSourceContract(t *testing.T) {
 	}
 	if calls != 3 {
 		t.Fatalf("source calls: %d, want 3 (two batches and the empty one)", calls)
+	}
+}
+
+// An instruction is 16 bytes: a processor's buffers hold thousands.
+func TestInstrSize(t *testing.T) {
+	if n := unsafe.Sizeof(Instr{}); n != 16 {
+		t.Fatalf("Instr is %d bytes, want 16", n)
+	}
+}
+
+// A stamped load or store keeps its address and carries slot and
+// element; an element past int32 leaves it unstamped, so the controller
+// translates its address itself.
+func TestStampedAccess(t *testing.T) {
+	const a = mem.Addr(1<<40 + 12)
+	for _, tc := range []struct {
+		in   Instr
+		kind Kind
+		slot uint8
+		id   int32
+	}{
+		{LoadElem(a, core.FirstSlot+2, 7), KLoad, core.FirstSlot + 2, 7},
+		{StoreElem(a, core.NoArray, math.MaxInt32), KStore, core.NoArray, math.MaxInt32},
+		{LoadElem(a, core.FirstSlot, math.MaxInt32+1), KLoad, core.Unstamped, 0},
+		{StoreElem(a, core.FirstSlot, 1<<40), KStore, core.Unstamped, 0},
+	} {
+		if tc.in.Kind != tc.kind || tc.in.Addr() != a || tc.in.Slot != tc.slot || tc.in.ID != tc.id {
+			t.Errorf("got %v of %#x slot %d id %d, want %v slot %d id %d",
+				tc.in.Kind, tc.in.Addr(), tc.in.Slot, tc.in.ID, tc.kind, tc.slot, tc.id)
+		}
 	}
 }

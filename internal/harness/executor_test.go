@@ -169,8 +169,8 @@ func TestSuiteSimulationCount(t *testing.T) {
 			t.Errorf("par=%d: All simulated %d cells, want 46", par, n)
 		}
 		h.Ablations(io.Discard)
-		if n := h.CellsSimulated(); n != 85 {
-			t.Errorf("par=%d: All then Ablations simulated %d cells, want 85", par, n)
+		if n := h.CellsSimulated(); n != 84 {
+			t.Errorf("par=%d: All then Ablations simulated %d cells, want 84", par, n)
 		}
 	}
 }

@@ -8,14 +8,17 @@ import (
 )
 
 // emitAccess translates a logical array access into instructions for the
-// active mode: a bare load/store (Serial, Ideal, HW — the HW controller
-// applies its protocol by address range), or the instrumented form the
-// software scheme requires (shadow marking, privatized storage, read-in).
+// active mode: a bare load/store (Serial, Ideal, HW), or the instrumented
+// form the software scheme requires (shadow marking, privatized storage,
+// read-in). Every load and store carries its translation stamp (the
+// array's slot and the element), so the HW controller applies its
+// protocol without looking the address up again.
 func (s *session) emitAccess(c *Ctx, arr, elem int, write bool) {
 	// Pointers, not copies: this runs once per logical access, and an
 	// ArraySpec/Region copy per call is measurable at that volume.
 	spec := &s.w.Arrays[arr]
 	shared := &s.shared[arr]
+	slot := s.slots[arr]
 	buf := c.buf
 
 	if s.polTouched != nil {
@@ -31,16 +34,16 @@ func (s *session) emitAccess(c *Ctx, arr, elem int, write bool) {
 		// Save the element just before it is first modified (§2.2.1).
 		s.sparseSaved[arr].Set(elem)
 		*buf = append(*buf,
-			cpu.Load(shared.ElemAddr(elem)),
-			cpu.Store(s.backups[arr].ElemAddr(elem)),
+			cpu.LoadElem(shared.ElemAddr(elem), slot, elem),
+			cpu.StoreElem(s.backups[arr].ElemAddr(elem), core.NoArray, elem),
 			cpu.Compute(1))
 	}
 
 	if s.cfg.Mode != SW || spec.Test == core.Plain {
 		if write {
-			*buf = append(*buf, cpu.Store(shared.ElemAddr(elem)))
+			*buf = append(*buf, cpu.StoreElem(shared.ElemAddr(elem), slot, elem))
 		} else {
-			*buf = append(*buf, cpu.Load(shared.ElemAddr(elem)))
+			*buf = append(*buf, cpu.LoadElem(shared.ElemAddr(elem), slot, elem))
 		}
 		return
 	}
@@ -54,18 +57,20 @@ func (s *session) emitAccess(c *Ctx, arr, elem int, write bool) {
 	}
 	s.swOps[arr][b] = append(s.swOps[arr][b], lrpd.Op{Iter: c.iter, Elem: elem, Write: write})
 	s.swLines[arr].Set(p*s.swLineCount[arr] + shIdx/s.elemsPerLine(s.swGlobal[arr]))
+	// SW runs have no controller: nothing is under test in hardware.
+	const no = core.NoArray
 	wrSh := s.swWr[arr][p].ElemAddr(shIdx)
 	rdSh := s.swRd[arr][p].ElemAddr(shIdx)
 
 	if write {
 		// markwrite: check/update the write shadow stamp.
 		*buf = append(*buf,
-			cpu.Load(wrSh), cpu.Compute(2), cpu.Store(wrSh))
+			cpu.LoadElem(wrSh, no, shIdx), cpu.Compute(2), cpu.StoreElem(wrSh, no, shIdx))
 		if spec.Test == core.Priv {
 			s.swTouched[arr].Set(p*spec.Elems + elem)
-			*buf = append(*buf, cpu.Store(s.swPriv[arr][p].ElemAddr(elem)))
+			*buf = append(*buf, cpu.StoreElem(s.swPriv[arr][p].ElemAddr(elem), no, elem))
 		} else {
-			*buf = append(*buf, cpu.Store(shared.ElemAddr(elem)))
+			*buf = append(*buf, cpu.StoreElem(shared.ElemAddr(elem), no, elem))
 		}
 		return
 	}
@@ -73,18 +78,18 @@ func (s *session) emitAccess(c *Ctx, arr, elem int, write bool) {
 	// markread: check the write shadow (same-iteration write?) and
 	// update the read shadows.
 	*buf = append(*buf,
-		cpu.Load(wrSh), cpu.Load(rdSh), cpu.Compute(2), cpu.Store(rdSh))
+		cpu.LoadElem(wrSh, no, shIdx), cpu.LoadElem(rdSh, no, shIdx), cpu.Compute(2), cpu.StoreElem(rdSh, no, shIdx))
 	if spec.Test == core.Priv {
 		if !s.swTouched[arr].Get(p*spec.Elems + elem) {
 			// Read-in: first touch by this processor fetches the
 			// shared value into the private copy.
 			s.swTouched[arr].Set(p*spec.Elems + elem)
-			*buf = append(*buf, cpu.Load(shared.ElemAddr(elem)),
-				cpu.Store(s.swPriv[arr][p].ElemAddr(elem)))
+			*buf = append(*buf, cpu.LoadElem(shared.ElemAddr(elem), no, elem),
+				cpu.StoreElem(s.swPriv[arr][p].ElemAddr(elem), no, elem))
 		}
-		*buf = append(*buf, cpu.Load(s.swPriv[arr][p].ElemAddr(elem)))
+		*buf = append(*buf, cpu.LoadElem(s.swPriv[arr][p].ElemAddr(elem), no, elem))
 	} else {
-		*buf = append(*buf, cpu.Load(shared.ElemAddr(elem)))
+		*buf = append(*buf, cpu.LoadElem(shared.ElemAddr(elem), no, elem))
 	}
 }
 
@@ -235,16 +240,6 @@ func (s *session) loopWindow(exec, lo, hi int) {
 	}
 	if s.chunkOverride > 0 && (cfg.Kind == sched.Dynamic || cfg.Kind == sched.BlockCyclic) {
 		cfg.Chunk = s.chunkOverride
-	}
-
-	if s.loopGens == nil {
-		s.loopGens = make([]*loopGen, s.procs)
-		s.loopSrc = make([]cpu.Source, s.procs)
-		for p := 0; p < s.procs; p++ {
-			g := &loopGen{}
-			s.loopGens[p] = g
-			s.loopSrc[p] = g.next
-		}
 	}
 
 	// Schedulers operate on window-relative indices; blocks are shifted

@@ -72,6 +72,7 @@ type phaseGen struct {
 
 	si     int         // the step being generated
 	a, b   *mem.Region // its regions
+	sa, sb uint8       // and their translation stamp slots
 	e, hi  int         // its next element (or marked-line bit) and bound
 	stride int         // its elements per line
 	base   int         // opMerge: the processor's first line bit
@@ -121,11 +122,14 @@ func (g *phaseGen) enter(si int) {
 	}
 	st := s.phaseSteps[si]
 	g.e, g.hi, g.stride, g.sparse = 0, 1, 1, false // a once-only step
+	g.sa, g.sb = core.NoArray, core.NoArray        // only shared arrays are under test
 	switch st.op {
 	case opBackup, opRestore:
 		g.a, g.b = &s.shared[st.arr], &s.backups[st.arr]
+		g.sa = s.slots[st.arr]
 		if st.op == opRestore {
 			g.a, g.b = g.b, g.a
+			g.sa, g.sb = g.sb, g.sa
 			g.sparse = s.w.Arrays[st.arr].SparseBackup
 		}
 		n := g.a.Elems
@@ -181,7 +185,7 @@ func (g *phaseGen) emit() bool {
 		if e >= a.Elems {
 			e = a.Elems - 1
 		}
-		g.buf = append(g.buf, cpu.Load(a.ElemAddr(e)), cpu.Compute(sim.Time(g.stride)), cpu.Store(a.ElemAddr(e)))
+		g.buf = append(g.buf, cpu.LoadElem(a.ElemAddr(e), g.sa, e), cpu.Compute(sim.Time(g.stride)), cpu.StoreElem(a.ElemAddr(e), g.sa, e))
 		return true
 	}
 	if g.sparse {
@@ -196,16 +200,16 @@ func (g *phaseGen) emit() bool {
 	g.e += g.stride
 	switch st.op {
 	case opBackup, opRestore:
-		g.buf = append(g.buf, cpu.Load(a.ElemAddr(e)), cpu.Store(g.b.ElemAddr(e)), cpu.Compute(1))
+		g.buf = append(g.buf, cpu.LoadElem(a.ElemAddr(e), g.sa, e), cpu.StoreElem(g.b.ElemAddr(e), g.sb, e), cpu.Compute(1))
 	case opZeroRd, opZeroWr:
-		g.buf = append(g.buf, cpu.Store(a.ElemAddr(e)), cpu.Compute(1))
+		g.buf = append(g.buf, cpu.StoreElem(a.ElemAddr(e), g.sa, e), cpu.Compute(1))
 	case opScan:
 		// Scan own shadows (sequential, mostly cache hits).
-		g.buf = append(g.buf, cpu.Load(a.ElemAddr(e)), cpu.Load(g.b.ElemAddr(e)), cpu.Compute(2))
+		g.buf = append(g.buf, cpu.LoadElem(a.ElemAddr(e), g.sa, e), cpu.LoadElem(g.b.ElemAddr(e), g.sb, e), cpu.Compute(2))
 	case opAnalyze:
 		// Analysis: check this processor's chunk of the merged global
 		// shadows.
-		g.buf = append(g.buf, cpu.Load(a.ElemAddr(e)), cpu.Compute(sim.Time(g.stride)))
+		g.buf = append(g.buf, cpu.LoadElem(a.ElemAddr(e), g.sa, e), cpu.Compute(sim.Time(g.stride)))
 	case opBarrier:
 		g.buf = append(g.buf, cpu.Barrier(phaseBarrier))
 	case opCopyOut:

@@ -37,7 +37,10 @@ type session struct {
 	procIDs  []int
 	shared   []mem.Region // one per workload array
 	hwArrays []*core.Array
-	backups  []mem.Region // zero-valued if the array needs no backup
+	// slots[i] is the translation stamp slot of workload array i: its
+	// controller slot if it is under test in HW, else core.NoArray.
+	slots   []uint8
+	backups []mem.Region // zero-valued if the array needs no backup
 
 	// Adaptive-policy hooks (nil / zero outside adaptive executions).
 	// polTouched[arr], when non-nil, observes which elements of an array
@@ -85,7 +88,7 @@ type session struct {
 	phaseGens  []phaseGen
 	phaseSrc   []cpu.Source
 	// loopGens/loopSrc are the reusable per-processor generator state of
-	// the loop phase.
+	// the loop phase, built once per session.
 	loopGens []*loopGen
 	loopSrc  []cpu.Source
 }
@@ -138,6 +141,10 @@ func newSession(w *Workload, cfg Config) *session {
 	s.shared, s.backups = l.shared, l.backups
 	s.swRd, s.swWr, s.swPriv, s.swGlobal = l.swRd, l.swWr, l.swPriv, l.swGlobal
 
+	s.slots = make([]uint8, len(w.Arrays))
+	for i := range s.slots {
+		s.slots[i] = core.NoArray
+	}
 	if cfg.Mode == HW {
 		s.ctl = core.NewController(m)
 		s.ctl.LineGrain = cfg.LineGrainBits
@@ -149,7 +156,9 @@ func newSession(w *Workload, cfg Config) *session {
 				s.hwArrays = append(s.hwArrays, s.ctl.AddPriv(s.shared[i], l.hwPriv[i], a.RICO))
 			default:
 				s.hwArrays = append(s.hwArrays, nil)
+				continue
 			}
+			s.slots[i] = s.hwArrays[i].Slot()
 		}
 		if cfg.CheckInvariants {
 			s.chk = check.Attach(m, s.ctl)
@@ -158,6 +167,13 @@ func newSession(w *Workload, cfg Config) *session {
 
 	s.sys = cpu.NewSystem(m, s.ctl)
 	s.sys.SetBarrier(phaseBarrier, procs)
+	s.loopGens = make([]*loopGen, procs)
+	s.loopSrc = make([]cpu.Source, procs)
+	for p := range s.loopGens {
+		g := &loopGen{}
+		s.loopGens[p] = g
+		s.loopSrc[p] = g.next
+	}
 
 	if cfg.Mode == SW || cfg.Mode == HW {
 		s.sparseSaved = make([]*arena.Bits, len(w.Arrays))
