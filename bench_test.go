@@ -34,6 +34,7 @@ import (
 	"specrt/internal/run"
 	"specrt/internal/server"
 	"specrt/internal/sim"
+	"specrt/internal/stats"
 )
 
 // ----- Table §5.1 -----
@@ -567,6 +568,63 @@ func BenchmarkServerSubmitCached(b *testing.B) {
 		rec := submit()
 		if rec.Code != 200 {
 			b.Fatalf("cached submit: status %d, want 200", rec.Code)
+		}
+	}
+}
+
+// BenchmarkServerSubmitUncached is one cache-missing specrtd job from
+// submission to its result bytes: admission, queue, simulation, report
+// encoding and the result fetch. A one-entry result cache and two
+// alternating specs, one of them adaptive (whose admission covers every
+// strategy's session), make every submission a miss.
+func BenchmarkServerSubmitUncached(b *testing.B) {
+	srv := server.New(server.Options{Scale: harness.Quick, Parallel: 1, CacheEntries: 1})
+	defer srv.Drain()
+	h := srv.Handler()
+	bodies := []string{
+		`{"workload":"Track","mode":"hw","procs":4}`,
+		`{"workload":"Track","mode":"hw","procs":4,"policy":"adaptive","director":"cost"}`,
+	}
+	serve := func(method, path, body string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(method, path, strings.NewReader(body))
+		req.Header.Set("X-Tenant", "bench")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+	job := func(i int) {
+		rec := serve("POST", "/v1/jobs", bodies[i%len(bodies)])
+		if rec.Code != 202 {
+			b.Fatalf("uncached submit: status %d, want 202: %s", rec.Code, rec.Body)
+		}
+		var sub server.SubmitResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &sub); err != nil {
+			b.Fatal(err)
+		}
+		serve("GET", "/v1/jobs/"+sub.ID+"/stream", "") // returns once the job is done
+		if res := serve("GET", "/v1/jobs/"+sub.ID+"/result", ""); res.Code != 200 || res.Body.Len() == 0 {
+			b.Fatalf("result: status %d, %d bytes", res.Code, res.Body.Len())
+		}
+	}
+	// One untimed job per spec warms the pools.
+	job(0)
+	job(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		job(i)
+	}
+}
+
+// BenchmarkReportEncode is the encoding step of every specrtd job:
+// stats.ReportOf(res).Encode() on a Figure 11 result.
+func BenchmarkReportEncode(b *testing.B) {
+	res := harness.New(harness.Quick).Result("Track", run.HW, 16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := stats.ReportOf(res).Encode(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

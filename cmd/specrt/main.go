@@ -41,7 +41,6 @@ import (
 	"specrt/internal/interconnect"
 	"specrt/internal/loops"
 	"specrt/internal/mem"
-	"specrt/internal/run"
 	"specrt/internal/server"
 	"specrt/internal/stats"
 )
@@ -252,15 +251,11 @@ func runJob(out io.Writer, req server.JobRequest, serverURL, tenant string, sc h
 	if err != nil {
 		return err
 	}
-	w, cfg, err := harness.ResolveJob(spec, sc)
+	plan, err := harness.Admit(spec, sc)
 	if err != nil {
 		return err
 	}
-	res, err := run.Execute(w, cfg)
-	if err != nil {
-		return err
-	}
-	b, err := stats.ReportOf(res).Encode()
+	b, err := stats.ReportOf(plan.Execute(nil)).Encode()
 	if err != nil {
 		return err
 	}

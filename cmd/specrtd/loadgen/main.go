@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"specrt/internal/harness"
-	"specrt/internal/run"
 	"specrt/internal/server"
 	"specrt/internal/stats"
 )
@@ -133,15 +132,11 @@ func localBytes(req server.JobRequest, sc harness.Scale) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	w, cfg, err := harness.ResolveJob(spec, sc)
+	plan, err := harness.Admit(spec, sc)
 	if err != nil {
 		return nil, err
 	}
-	res, err := run.Execute(w, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return stats.ReportOf(res).Encode()
+	return stats.ReportOf(plan.Execute(nil)).Encode()
 }
 
 // submitRetry submits with backoff on load shedding: a 429 is the

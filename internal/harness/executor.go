@@ -81,20 +81,20 @@ func (h *Harness) run(cells []cell) []*run.Result {
 // runner keeps each one; synthetic cells run every time.
 func (h *Harness) simulate(c cell) *run.Result {
 	cfg := h.config(c)
-	var r *run.Result
-	var err error
-	name := c.loop
-	if name != "" {
-		r, err = h.runner.Run(JobSpec{Workload: name, Config: cfg}, nil)
-	} else {
-		w := c.build()
-		name = w.Name
-		r, err = h.runner.execute(w, cfg, c.director, nil)
+	if c.loop != "" {
+		spec := JobSpec{Workload: c.loop, Config: cfg}
+		return h.runner.Run(spec.Key(), mustPlan(Admit(spec, h.Scale)), nil)
 	}
+	return h.runner.execute(mustPlan(run.Admit(c.build(), cfg)), c.director, nil)
+}
+
+// mustPlan returns an admitted cell's plan. Every cell of the harness's
+// tables is admissible, so an error is a bug in a table.
+func mustPlan(p *run.Plan, err error) *run.Plan {
 	if err != nil {
-		panic("harness: " + name + ": " + err.Error())
+		panic("harness: " + err.Error())
 	}
-	return r
+	return p
 }
 
 // table is one experiment as data: the cells it simulates, how their

@@ -177,11 +177,11 @@ func TestSuiteSimulationCount(t *testing.T) {
 
 // Result memoizes a figure cell under the content address specrtd
 // caches the same job under (a JobSpec with the request's defaults), and
-// the memoized result matches what a job Runner resolves and simulates.
+// the memoized result matches what a job Runner admits and simulates.
 func TestResultMemoKeyMatchesJobSpec(t *testing.T) {
 	h := NewParallel(Quick, 2)
 	h.Fig11()
-	runner := NewRunner(Quick, 2)
+	runner := NewRunner(2)
 	for _, c := range speedupCells() {
 		spec := JobSpec{Workload: c.loop, Config: run.Config{Procs: c.procs, Mode: c.mode, Contention: true}}
 		m := h.runner.flights[spec.Key()]
@@ -191,7 +191,7 @@ func TestResultMemoKeyMatchesJobSpec(t *testing.T) {
 		if got := h.Result(c.loop, c.mode, c.procs); got != m.res {
 			t.Fatalf("%s %v/%d: Result is not the memoized cell", c.loop, c.mode, c.procs)
 		}
-		job, err := runner.Run(spec, nil)
+		job, err := runSpec(runner, spec, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

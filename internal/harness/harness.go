@@ -81,7 +81,7 @@ func New(sc Scale) *Harness { return NewParallel(sc, 0) }
 // results, because each cell is an independent deterministic simulation and
 // output assembly stays in presentation order.
 func NewParallel(sc Scale, par int) *Harness {
-	return &Harness{Scale: sc, runner: newRunner(sc, par, true)}
+	return &Harness{Scale: sc, runner: newRunner(par, true)}
 }
 
 // CellsSimulated reports how many simulations the harness's runner has

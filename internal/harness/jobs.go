@@ -52,10 +52,9 @@ func WorkloadByName(name string, sc Scale) (*run.Workload, int, error) {
 
 // ResolveJob instantiates a spec at a scale: the workload is built and
 // the scale's execution cap folded into Config.MaxExecutions (the
-// smaller of the two wins, zero meaning uncapped). Local clients and the
-// server both resolve through here, so a job executed locally and the
-// same job executed remotely run the exact same effective config — the
-// basis of the byte-identical guarantee.
+// smaller wins, zero meaning uncapped). Admit resolves every job through
+// here, so a job run locally and the same job run by specrtd run one
+// effective config — the basis of the byte-identical guarantee.
 func ResolveJob(spec JobSpec, sc Scale) (*run.Workload, run.Config, error) {
 	w, cap, err := WorkloadByName(spec.Workload, sc)
 	if err != nil {
@@ -68,12 +67,22 @@ func ResolveJob(spec JobSpec, sc Scale) (*run.Workload, run.Config, error) {
 	return w, cfg, nil
 }
 
+// Admit resolves a spec at a scale and admits the run: the one
+// admission of a job, whether specrtd, the harness or a local client
+// runs it.
+func Admit(spec JobSpec, sc Scale) (*run.Plan, error) {
+	w, cfg, err := ResolveJob(spec, sc)
+	if err != nil {
+		return nil, err
+	}
+	return run.Admit(w, cfg)
+}
+
 // flight is one in-progress simulation with progress fan-out. Waiters of
 // collapsed duplicates subscribe; the simulating goroutine broadcasts.
 type flight struct {
 	done chan struct{}
 	res  *run.Result
-	err  error
 
 	mu        sync.Mutex
 	subs      []run.ProgressFunc
@@ -107,17 +116,16 @@ func (f *flight) broadcast(done, total int) {
 	}
 }
 
-// Runner executes arbitrary job specs on a bounded worker pool with
+// Runner executes admitted job plans on a bounded worker pool with
 // in-flight deduplication: concurrent Runs with equal keys collapse to
 // one simulation whose result every caller shares. A NewRunner runner
 // retains no completed results, so a long-running server's memory stays
 // bounded by the cache it puts above the Runner. The figure harness's
-// runner keeps every flight that succeeded as its memo: a caller either
-// joins a flight or finds it kept, with no window between the two.
+// runner keeps every flight as its memo: a caller either joins a flight
+// or finds it kept, with no window between the two.
 type Runner struct {
-	scale Scale
-	sem   chan struct{}
-	keep  bool // retain flights that completed without error
+	sem  chan struct{}
+	keep bool // retain completed flights
 
 	mu      sync.Mutex
 	flights map[string]*flight
@@ -125,22 +133,18 @@ type Runner struct {
 	simulated atomic.Int64
 }
 
-// NewRunner creates a job runner at the given scale; par <= 0 selects
-// one worker per host core.
-func NewRunner(sc Scale, par int) *Runner { return newRunner(sc, par, false) }
+// NewRunner creates a job runner; par <= 0 selects one worker per host
+// core.
+func NewRunner(par int) *Runner { return newRunner(par, false) }
 
 // newRunner creates a runner that, with keep, is the harness's memo.
-func newRunner(sc Scale, par int, keep bool) *Runner {
+func newRunner(par int, keep bool) *Runner {
 	return &Runner{
-		scale:   sc,
 		sem:     make(chan struct{}, parallelism(par)),
 		keep:    keep,
 		flights: make(map[string]*flight),
 	}
 }
-
-// Scale reports the scale jobs resolve against.
-func (r *Runner) Scale() Scale { return r.scale }
 
 // Parallelism reports the worker-pool size.
 func (r *Runner) Parallelism() int { return cap(r.sem) }
@@ -151,55 +155,41 @@ func (r *Runner) Parallelism() int { return cap(r.sem) }
 // deduplication.
 func (r *Runner) Simulated() int64 { return r.simulated.Load() }
 
-// Run executes spec (or joins an identical flight) and returns the
-// shared result. progress, if non-nil, observes the underlying
-// simulation's per-execution progress even when this call joined a
-// flight started by another caller. Unknown workloads return an error
-// without consuming a worker slot.
-func (r *Runner) Run(spec JobSpec, progress run.ProgressFunc) (*run.Result, error) {
-	key := spec.Key()
+// Run executes plan, the admitted job with content address key
+// (JobSpec.Key), or joins an identical flight, and returns the shared
+// result. progress, if non-nil, observes the underlying simulation's
+// per-execution progress even when this call joined a flight started by
+// another caller.
+func (r *Runner) Run(key string, plan *run.Plan, progress run.ProgressFunc) *run.Result {
 	r.mu.Lock()
 	if f := r.flights[key]; f != nil {
 		r.mu.Unlock()
 		f.subscribe(progress)
 		<-f.done
-		return f.res, f.err
+		return f.res
 	}
 	f := &flight{done: make(chan struct{})}
 	r.flights[key] = f
 	r.mu.Unlock()
 
 	f.subscribe(progress)
-	w, cfg, err := ResolveJob(spec, r.scale)
-	if err == nil {
-		f.res, err = r.execute(w, cfg, nil, f.broadcast)
-	}
-	f.err = err
-	if f.err != nil || !r.keep {
+	f.res = r.execute(plan, nil, f.broadcast)
+	if !r.keep {
 		r.mu.Lock()
 		delete(r.flights, key)
 		r.mu.Unlock()
 	}
 	close(f.done)
-	return f.res, f.err
+	return f.res
 }
 
-// execute simulates one resolved workload while holding a pool slot —
-// the only place a simulation runs. A non-nil director pins the policy
-// of an adaptive run (run.ExecuteAdaptive); such runs are not keyed by
+// execute simulates one admitted plan while holding a pool slot — the
+// only place a simulation runs. A non-nil director pins the policy of
+// an adaptive run (run.Plan.ExecuteDirected); such runs are not keyed by
 // Config.Hash, so they bypass the flights and run every time.
-func (r *Runner) execute(w *run.Workload, cfg run.Config, d policy.Director, progress run.ProgressFunc) (*run.Result, error) {
+func (r *Runner) execute(p *run.Plan, d policy.Director, progress run.ProgressFunc) *run.Result {
 	r.sem <- struct{}{}
 	defer func() { <-r.sem }()
-	var res *run.Result
-	var err error
-	if d != nil {
-		res, err = run.ExecuteAdaptive(w, cfg, d, progress)
-	} else {
-		res, err = run.ExecuteWithProgress(w, cfg, progress)
-	}
-	if err == nil {
-		r.simulated.Add(1)
-	}
-	return res, err
+	r.simulated.Add(1)
+	return p.ExecuteDirected(d, progress)
 }

@@ -10,6 +10,16 @@ import (
 	"specrt/internal/run"
 )
 
+// runSpec admits spec at quick scale and runs the plan on r, as specrtd
+// and the harness do.
+func runSpec(r *Runner, spec JobSpec, progress run.ProgressFunc) (*run.Result, error) {
+	p, err := Admit(spec, Quick)
+	if err != nil {
+		return nil, err
+	}
+	return r.Run(spec.Key(), p, progress), nil
+}
+
 func quickSpec(mode run.Mode, procs int) JobSpec {
 	return JobSpec{Workload: "Track", Config: run.Config{Procs: procs, Mode: mode, Contention: true}}
 }
@@ -17,7 +27,7 @@ func quickSpec(mode run.Mode, procs int) JobSpec {
 // TestRunnerSingleflight: N concurrent submissions of one spec collapse
 // to a single simulation, and every caller shares the identical result.
 func TestRunnerSingleflight(t *testing.T) {
-	r := NewRunner(Quick, 4)
+	r := NewRunner(4)
 	const callers = 8
 	results := make([]*run.Result, callers)
 	var wg sync.WaitGroup
@@ -25,7 +35,7 @@ func TestRunnerSingleflight(t *testing.T) {
 	for i := 0; i < callers; i++ {
 		go func(i int) {
 			defer wg.Done()
-			res, err := r.Run(quickSpec(run.HW, 4), nil)
+			res, err := runSpec(r, quickSpec(run.HW, 4), nil)
 			if err != nil {
 				t.Error(err)
 				return
@@ -53,11 +63,11 @@ func TestRunnerSingleflight(t *testing.T) {
 // permanent memo) and reproduces the same result bytes.
 func TestRunnerDeterministicAcrossRunners(t *testing.T) {
 	spec := quickSpec(run.SW, 4)
-	r1, err := NewRunner(Quick, 2).Run(spec, nil)
+	r1, err := runSpec(NewRunner(2), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := NewRunner(Quick, 2).Run(spec, nil)
+	r2, err := runSpec(NewRunner(2), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,10 +79,10 @@ func TestRunnerDeterministicAcrossRunners(t *testing.T) {
 
 // TestRunnerProgress: the progress hook fires and ends complete.
 func TestRunnerProgress(t *testing.T) {
-	r := NewRunner(Quick, 1)
+	r := NewRunner(1)
 	var last atomic.Int64
 	var total atomic.Int64
-	_, err := r.Run(quickSpec(run.Ideal, 4), func(done, tot int) {
+	_, err := runSpec(r, quickSpec(run.Ideal, 4), func(done, tot int) {
 		last.Store(int64(done))
 		total.Store(int64(tot))
 	})
@@ -85,13 +95,13 @@ func TestRunnerProgress(t *testing.T) {
 }
 
 // TestRunnerErrors: unknown workloads and invalid configs report errors
-// without simulating.
+// at admission, without simulating.
 func TestRunnerErrors(t *testing.T) {
-	r := NewRunner(Quick, 1)
-	if _, err := r.Run(JobSpec{Workload: "Nope", Config: run.Config{Procs: 1}}, nil); err == nil {
+	r := NewRunner(1)
+	if _, err := runSpec(r, JobSpec{Workload: "Nope", Config: run.Config{Procs: 1}}, nil); err == nil {
 		t.Fatal("unknown workload did not error")
 	}
-	if _, err := r.Run(JobSpec{Workload: "Track", Config: run.Config{Procs: 0}}, nil); err == nil {
+	if _, err := runSpec(r, JobSpec{Workload: "Track", Config: run.Config{Procs: 0}}, nil); err == nil {
 		t.Fatal("invalid config did not error")
 	}
 	if n := r.Simulated(); n != 0 {
@@ -101,8 +111,9 @@ func TestRunnerErrors(t *testing.T) {
 
 // TestRunnerKeeps: a NewRunner runner (specrtd's) keeps no completed
 // flight, so the same spec run twice in a row simulates twice; the
-// harness's runner keeps it and simulates once. Neither keeps a flight
-// that returned an error (Procs 0 resolves but fails validation).
+// harness's runner keeps it and simulates once. Neither gets a flight
+// for a spec that admission rejects (Procs 0 resolves but fails
+// validation).
 func TestRunnerKeeps(t *testing.T) {
 	spec := quickSpec(run.HW, 2)
 	bad := JobSpec{Workload: "Track", Config: run.Config{Procs: 0}}
@@ -111,14 +122,14 @@ func TestRunnerKeeps(t *testing.T) {
 		r    *Runner
 		sims int64
 	}{
-		{"NewRunner", NewRunner(Quick, 1), 2},
+		{"NewRunner", NewRunner(1), 2},
 		{"harness", NewParallel(Quick, 1).runner, 1},
 	} {
-		first, err := tc.r.Run(spec, nil)
+		first, err := runSpec(tc.r, spec, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		second, err := tc.r.Run(spec, nil)
+		second, err := runSpec(tc.r, spec, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +143,7 @@ func TestRunnerKeeps(t *testing.T) {
 			t.Errorf("%s: repeat run cycles %d, first %d", tc.name, second.Cycles, first.Cycles)
 		}
 		for i := 0; i < 2; i++ {
-			if _, err := tc.r.Run(bad, nil); err == nil {
+			if _, err := runSpec(tc.r, bad, nil); err == nil {
 				t.Fatalf("%s: Procs 0 did not error", tc.name)
 			}
 		}

@@ -286,3 +286,17 @@ func TestParseSpec(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkMeshRoute is one XY-routed message on a 32x32 mesh: the
+// interconnect layer's cost for each deferred protocol message under the
+// mesh topology. Endpoints step through the grid so route lengths vary,
+// and each message leaves once the previous one has arrived.
+func BenchmarkMeshRoute(b *testing.B) {
+	const nodes = 32 * 32
+	n := MustNew(Config{Kind: Mesh, Nodes: nodes})
+	var now sim.Time
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		now += n.Send(i*37%nodes, (i*101+511)%nodes, now, 0)
+	}
+}

@@ -12,13 +12,10 @@ import (
 //
 // Each strategy runs on its own lazily built session — its own machine,
 // controller and schedule — because the schemes need different array
-// protocols and instrumentation. That matches the system being modelled:
-// switching strategy between instances means re-arming the hardware (or
-// not), not morphing a live machine. Only strategies the director
-// actually picks pay the session setup cost, and all per-strategy stats
-// are folded into one Result at the end. The instance loop is execute,
-// the one static runs use; validate admits every strategy's session
-// before it starts.
+// protocols and instrumentation: switching strategy between instances
+// means re-arming the hardware (or not), not morphing a live machine.
+// Only strategies the director picks pay the session setup cost, and
+// all per-strategy stats fold into one Result (Plan.ExecuteDirected).
 
 // staticStrategy maps the configured mode to the strategy a static
 // (paper baseline) director pins: the scheme the paper would have chosen
@@ -97,16 +94,12 @@ func strategyVariant(w *Workload, cfg Config, st policy.Strategy) (*Workload, Co
 }
 
 // ExecuteAdaptive runs w adaptively under an explicit director instead
-// of the Config-derived one. Harness ablations use it to pin arbitrary
-// static decisions (e.g. "always hw-priv") through the same adaptive
-// executor the learned directors run in, so their cycle counts are
-// comparable instance for instance. The result is still deterministic
-// for a fixed director, but callers that memoize by Config hash must not
-// cache through here — the hash does not cover an arbitrary director.
+// of the Config-derived one (Plan.ExecuteDirected).
 func ExecuteAdaptive(w *Workload, cfg Config, d policy.Director, progress ProgressFunc) (*Result, error) {
 	cfg.Policy = policy.Adaptive
-	if err := validate(w, cfg); err != nil {
+	p, err := Admit(w, cfg)
+	if err != nil {
 		return nil, err
 	}
-	return execute(w, cfg, d, progress), nil
+	return p.ExecuteDirected(d, progress), nil
 }

@@ -234,10 +234,7 @@ func (s *session) loopPhase(exec int) {
 // loopWindow schedules and executes iterations [lo, hi).
 func (s *session) loopWindow(exec, lo, hi int) {
 	iters := hi - lo
-	cfg := schedFor(s.w, s.cfg)
-	if s.cfg.Mode == Serial {
-		cfg = sched.Config{Kind: sched.Static}
-	}
+	cfg := s.sched
 	if s.chunkOverride > 0 && (cfg.Kind == sched.Dynamic || cfg.Kind == sched.BlockCyclic) {
 		cfg.Chunk = s.chunkOverride
 	}

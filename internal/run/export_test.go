@@ -12,10 +12,11 @@ import (
 // gives a processor, in every phase, with the session's controller (nil
 // outside HW) as it stands when the batch is handed out.
 func ExecuteObserved(w *Workload, cfg Config, observe func(ctl *core.Controller, batch []cpu.Instr)) (*Result, error) {
-	if err := validate(w, cfg); err != nil {
+	p, err := Admit(w, cfg)
+	if err != nil {
 		return nil, err
 	}
-	s := newSession(w, cfg)
+	s := p.newSession(&p.variants[0])
 	defer s.m.Release()
 	for _, srcs := range [][]cpu.Source{s.loopSrc, s.phaseSrc} {
 		for p, src := range srcs {
@@ -46,4 +47,14 @@ func BackupRestore(w *Workload, cfg Config) (phases, release func()) {
 		s.runPhase(phaseBackup)
 		s.runPhase(phaseRestore)
 	}, s.m.Release
+}
+
+// newSession admits w under cfg and builds the plan's first session (a
+// static run's only one); it panics if admission fails.
+func newSession(w *Workload, cfg Config) *session {
+	p, err := Admit(w, cfg)
+	if err != nil {
+		panic(err)
+	}
+	return p.newSession(&p.variants[0])
 }

@@ -12,8 +12,10 @@ package run
 
 import (
 	"fmt"
+	"slices"
 
 	"specrt/internal/arena"
+	"specrt/internal/cache"
 	"specrt/internal/core"
 	"specrt/internal/cpu"
 	"specrt/internal/directory"
@@ -192,7 +194,7 @@ type Config struct {
 	DirMode directory.Mode
 	// MeshW and MeshH give the Mesh topology an explicit rectangular
 	// shape (both-or-neither; zero keeps the near-square default). When
-	// set, the shape also caps Procs — see validate.
+	// set, the shape also caps Procs — see Admit.
 	MeshW, MeshH int
 	// L1Bytes and L2Bytes override the per-processor cache sizes
 	// (0 keeps the paper's 32KB/512KB, §5.1). Wide-scale runs shrink
@@ -336,40 +338,218 @@ func Execute(w *Workload, cfg Config) (*Result, error) {
 // results are byte-identical with and without a hook, so memoizing
 // executors can attach observers freely without splitting cache keys.
 func ExecuteWithProgress(w *Workload, cfg Config, progress ProgressFunc) (*Result, error) {
-	if err := validate(w, cfg); err != nil {
+	p, err := Admit(w, cfg)
+	if err != nil {
 		return nil, err
 	}
-	var d policy.Director
-	if cfg.Policy == policy.Adaptive {
-		var err error
-		d, err = policy.New(cfg.Director, policy.Decision{Strategy: staticStrategy(w, cfg.Mode)})
+	return p.Execute(progress), nil
+}
+
+// MustExecute is Execute for known-good configurations.
+func MustExecute(w *Workload, cfg Config) *Result {
+	r, err := Execute(w, cfg)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
+// Validate checks a (workload, config) pair without simulating: the
+// admission Execute performs. Services use it to turn bad requests
+// into immediate errors instead of failed jobs.
+func Validate(w *Workload, cfg Config) error {
+	_, err := Admit(w, cfg)
+	return err
+}
+
+// Plan is an admitted run: every session its execution may build,
+// derived and checked once, by Admit. It holds only small values, never
+// a session or per-element storage, and executing it never modifies it,
+// so a plan may wait in a queue cheaply and be executed any number of
+// times, concurrently, with identical results.
+type Plan struct {
+	w        *Workload
+	cfg      Config
+	l1, l2   cache.Config
+	director policy.Director // nil for a static run; directors are stateless
+	// variants are the sessions the run may build: a static run's one,
+	// or an adaptive run's one per policy.Strategy.
+	variants []variant
+	serial   variant // the one-processor re-execution of a failed instance
+}
+
+// variant is one session a plan may build.
+type variant struct {
+	w     *Workload
+	cfg   Config
+	procs int          // participating processors
+	sched sched.Config // the loop schedule
+}
+
+// newVariant derives the session of w under cfg: a serial one runs on
+// one processor under static scheduling.
+func newVariant(w *Workload, cfg Config) variant {
+	v := variant{w: w, cfg: cfg, procs: cfg.Procs}
+	switch {
+	case cfg.Mode == Serial:
+		v.procs, v.sched = 1, sched.Config{Kind: sched.Static}
+	case cfg.SchedOverride != nil:
+		v.sched = *cfg.SchedOverride
+	case cfg.Mode == Ideal:
+		v.sched = w.IdealSched
+	case cfg.Mode == SW:
+		v.sched = w.SWSched
+	default:
+		v.sched = w.HWSched
+	}
+	return v
+}
+
+// Admit checks w and cfg once, derives every session the run may build
+// (a static run's one session or an adaptive run's per-strategy
+// variants, plus the serial re-execution of a failed instance) and
+// checks each session where sessions differ.
+func Admit(w *Workload, cfg Config) (*Plan, error) {
+	if w.Executions <= 0 {
+		return nil, fmt.Errorf("run: workload %q has no executions", w.Name)
+	}
+	if w.Iterations == nil || w.Body == nil {
+		return nil, fmt.Errorf("run: workload %q missing Iterations or Body", w.Name)
+	}
+	if len(w.Arrays) == 0 {
+		return nil, fmt.Errorf("run: workload %q has no arrays", w.Name)
+	}
+	if cfg.Procs <= 0 {
+		return nil, fmt.Errorf("run: need at least one processor")
+	}
+	if cfg.Procs > directory.MaxProcs {
+		return nil, fmt.Errorf("run: procs must be in [1,%d], got %d", directory.MaxProcs, cfg.Procs)
+	}
+	ncfg := interconnect.Config{Kind: cfg.Topology, Nodes: cfg.Procs, MeshW: cfg.MeshW, MeshH: cfg.MeshH}
+	if cap := ncfg.NodeCap(); cap > 0 && cfg.Procs > cap {
+		// Without this check the mismatch would only surface deep in XY
+		// routing; fail up front and name the topology's bound.
+		return nil, fmt.Errorf("run: procs must be in [1,%d] on a %dx%d mesh, got %d",
+			cap, cfg.MeshW, cfg.MeshH, cfg.Procs)
+	}
+	if err := ncfg.Validate(); err != nil {
+		return nil, fmt.Errorf("run: %w", err)
+	}
+	if cfg.L1Bytes < 0 || cfg.L2Bytes < 0 {
+		return nil, fmt.Errorf("run: negative cache size override")
+	}
+	p := &Plan{w: w, cfg: cfg}
+	p.l1, p.l2 = cacheConfigs(cfg)
+	if err := p.l1.Validate(); err != nil {
+		return nil, fmt.Errorf("run: L1Bytes %d: %w", cfg.L1Bytes, err)
+	}
+	if err := p.l2.Validate(); err != nil {
+		return nil, fmt.Errorf("run: L2Bytes %d: %w", cfg.L2Bytes, err)
+	}
+	if p.l1.SizeBytes > p.l2.SizeBytes {
+		return nil, fmt.Errorf("run: L1Bytes %d exceeds the %d-byte L2 (inclusion)", p.l1.SizeBytes, p.l2.SizeBytes)
+	}
+	switch cfg.Policy {
+	case policy.Off:
+		if cfg.Director != policy.Static {
+			return nil, fmt.Errorf("run: director %v requires policy adaptive", cfg.Director)
+		}
+	case policy.Adaptive:
+		if cfg.Mode == Ideal {
+			return nil, fmt.Errorf("run: adaptive policy needs a real scheme (serial|sw|hw), not Ideal")
+		}
+		if cfg.AdaptiveAfter > 0 {
+			return nil, fmt.Errorf("run: adaptive policy supersedes AdaptiveAfter (§2.2.4); unset one")
+		}
+		d, err := policy.New(cfg.Director, policy.Decision{Strategy: staticStrategy(w, cfg.Mode)})
 		if err != nil {
+			return nil, fmt.Errorf("run: unknown director %d", cfg.Director)
+		}
+		p.director = d
+	default:
+		return nil, fmt.Errorf("run: unknown policy %d", cfg.Policy)
+	}
+	for _, a := range w.Arrays {
+		switch a.ElemSize {
+		case 4, 8, 16:
+		default:
+			return nil, fmt.Errorf("run: array %q has unsupported element size %d", a.Name, a.ElemSize)
+		}
+		if a.Elems <= 0 {
+			return nil, fmt.Errorf("run: array %q has no elements", a.Name)
+		}
+	}
+
+	if p.director == nil {
+		p.variants = []variant{newVariant(w, cfg)}
+	} else {
+		// A director may pick any strategy, so admit every session the
+		// run can build.
+		for st := policy.Strategy(0); st < policy.NumStrategies; st++ {
+			p.variants = append(p.variants, newVariant(strategyVariant(w, cfg, st)))
+		}
+	}
+	// A failed instance re-executes serially on a one-processor machine
+	// with local data, per the paper's accounting ("plus the Serial
+	// time", §6.2).
+	p.serial = newVariant(w, Config{Procs: 1, Mode: Serial, Contention: cfg.Contention,
+		Topology: cfg.Topology, L1Bytes: cfg.L1Bytes, L2Bytes: cfg.L2Bytes})
+	for _, v := range append(slices.Clip(p.variants), p.serial) {
+		if err := p.check(v); err != nil {
 			return nil, err
 		}
 	}
-	return execute(w, cfg, d, progress), nil
+	return p, nil
 }
 
-// execute runs the instances of w under cfg, which validate admitted.
-// Without a director every instance runs on the one session built from
-// (w, cfg), and cfg.AdaptiveAfter may stop speculation (§2.2.4). With a
-// director each instance runs on the session of the strategy d picks
-// from the loop's history, built on first use (strategyVariant).
-func execute(w *Workload, cfg Config, d policy.Director, progress ProgressFunc) *Result {
+// check admits one session on what differs between a run's sessions:
+// the processor-wise SW test needs static scheduling, and the session's
+// layout, measured on a space that allocates nothing per element, must
+// stay below what the caches can tag (cache.Config.MaxAddr).
+func (p *Plan) check(v variant) error {
+	if v.cfg.Mode == SW && v.w.SWProcWise && v.sched.Kind != sched.Static {
+		return fmt.Errorf("run: processor-wise SW test requires static scheduling, got %v", v.sched.Kind)
+	}
+	limit := p.l1.MaxAddr()
+	if _, fits := layoutSpace(mem.NewMeasure(v.procs), v.w, v.cfg, v.procs, limit); !fits {
+		return fmt.Errorf("run: workload %q needs more simulated memory than the %d GB address bound (mode %v, procs=%d)",
+			v.w.Name, limit>>30, v.cfg.Mode, v.cfg.Procs)
+	}
+	return nil
+}
+
+// Execute simulates the plan's run, directed by its config's director
+// if it is adaptive. Each call builds its own sessions.
+func (p *Plan) Execute(progress ProgressFunc) *Result {
+	return p.ExecuteDirected(nil, progress)
+}
+
+// ExecuteDirected is Execute with the instances of an adaptive plan
+// directed by d in place of its config's director (nil keeps that one).
+// Harness ablations use it to pin arbitrary static decisions. Callers
+// that memoize by Config hash must not cache through a d of their own:
+// the hash does not cover it. Without a director, cfg.AdaptiveAfter may
+// stop speculation (§2.2.4).
+func (p *Plan) ExecuteDirected(d policy.Director, progress ProgressFunc) *Result {
+	if d == nil {
+		d = p.director
+	} else if p.director == nil {
+		panic("run: a director needs an adaptive plan")
+	}
+	w, cfg := p.w, p.cfg
 	res := &Result{
 		Workload: w.Name,
 		Mode:     cfg.Mode,
 		Procs:    cfg.Procs,
 		Verdicts: make(map[string]lrpd.Verdict),
 	}
-	// A run without a director uses sessions[0] only.
+	// Sessions are built on first use, one per strategy the director
+	// picks; a run without a director uses sessions[0] only.
 	var sessions [policy.NumStrategies]*session
 	var hist *policy.History
 	var touched []*arena.Bits
 	totalTested := 0
-	if d == nil {
-		sessions[0] = newSession(w, cfg)
-	} else {
+	if d != nil {
 		res.Director = d.Name()
 		baseChunk := w.HWSched.Chunk
 		if baseChunk <= 0 {
@@ -395,15 +575,16 @@ func execute(w *Workload, cfg Config, d policy.Director, progress ProgressFunc) 
 	}
 	consecFails := 0
 	for exec := 0; exec < execs; exec++ {
-		s := sessions[0]
 		var dec policy.Decision
 		if d != nil {
 			dec = d.Decide(hist)
-			if sessions[dec.Strategy] == nil {
-				sessions[dec.Strategy] = newSession(strategyVariant(w, cfg, dec.Strategy))
-				sessions[dec.Strategy].polTouched = touched
-			}
-			s = sessions[dec.Strategy]
+		}
+		if sessions[dec.Strategy] == nil {
+			sessions[dec.Strategy] = p.newSession(&p.variants[dec.Strategy])
+			sessions[dec.Strategy].polTouched = touched
+		}
+		s := sessions[dec.Strategy]
+		if d != nil {
 			s.chunkOverride = dec.Chunk
 			for _, b := range touched {
 				if b != nil {
@@ -493,138 +674,4 @@ func execute(w *Workload, cfg Config, d policy.Director, progress ProgressFunc) 
 		s.m.Release()
 	}
 	return res
-}
-
-// MustExecute is Execute for known-good configurations.
-func MustExecute(w *Workload, cfg Config) *Result {
-	r, err := Execute(w, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
-// Validate checks a (workload, config) pair without simulating: the
-// same admission Execute performs. Services use it to turn bad requests
-// into immediate errors instead of failed jobs.
-func Validate(w *Workload, cfg Config) error { return validate(w, cfg) }
-
-func validate(w *Workload, cfg Config) error {
-	if w.Executions <= 0 {
-		return fmt.Errorf("run: workload %q has no executions", w.Name)
-	}
-	if w.Iterations == nil || w.Body == nil {
-		return fmt.Errorf("run: workload %q missing Iterations or Body", w.Name)
-	}
-	if len(w.Arrays) == 0 {
-		return fmt.Errorf("run: workload %q has no arrays", w.Name)
-	}
-	if cfg.Procs <= 0 {
-		return fmt.Errorf("run: need at least one processor")
-	}
-	if cfg.Procs > directory.MaxProcs {
-		return fmt.Errorf("run: procs must be in [1,%d], got %d", directory.MaxProcs, cfg.Procs)
-	}
-	ncfg := interconnect.Config{
-		Kind: cfg.Topology, Nodes: cfg.Procs, MeshW: cfg.MeshW, MeshH: cfg.MeshH,
-	}
-	if cap := ncfg.NodeCap(); cap > 0 && cfg.Procs > cap {
-		// Without this check the mismatch would only surface deep in XY
-		// routing; fail up front and name the topology's bound.
-		return fmt.Errorf("run: procs must be in [1,%d] on a %dx%d mesh, got %d",
-			cap, cfg.MeshW, cfg.MeshH, cfg.Procs)
-	}
-	if err := ncfg.Validate(); err != nil {
-		return fmt.Errorf("run: %w", err)
-	}
-	if cfg.L1Bytes < 0 || cfg.L2Bytes < 0 {
-		return fmt.Errorf("run: negative cache size override")
-	}
-	l1, l2 := cacheConfigs(cfg)
-	if err := l1.Validate(); err != nil {
-		return fmt.Errorf("run: L1Bytes %d: %w", cfg.L1Bytes, err)
-	}
-	if err := l2.Validate(); err != nil {
-		return fmt.Errorf("run: L2Bytes %d: %w", cfg.L2Bytes, err)
-	}
-	if l1.SizeBytes > l2.SizeBytes {
-		return fmt.Errorf("run: L1Bytes %d exceeds the %d-byte L2 (inclusion)", l1.SizeBytes, l2.SizeBytes)
-	}
-	if cfg.Mode == SW && w.SWProcWise {
-		k := schedFor(w, cfg).Kind
-		if k != sched.Static {
-			return fmt.Errorf("run: processor-wise SW test requires static scheduling, got %v", k)
-		}
-	}
-	switch cfg.Policy {
-	case policy.Off:
-		if cfg.Director != policy.Static {
-			return fmt.Errorf("run: director %v requires policy adaptive", cfg.Director)
-		}
-	case policy.Adaptive:
-		if cfg.Mode == Ideal {
-			return fmt.Errorf("run: adaptive policy needs a real scheme (serial|sw|hw), not Ideal")
-		}
-		if cfg.AdaptiveAfter > 0 {
-			return fmt.Errorf("run: adaptive policy supersedes AdaptiveAfter (§2.2.4); unset one")
-		}
-		if cfg.Director > policy.Cost {
-			return fmt.Errorf("run: unknown director %d", cfg.Director)
-		}
-	default:
-		return fmt.Errorf("run: unknown policy %d", cfg.Policy)
-	}
-	for _, a := range w.Arrays {
-		switch a.ElemSize {
-		case 4, 8, 16:
-		default:
-			return fmt.Errorf("run: array %q has unsupported element size %d", a.Name, a.ElemSize)
-		}
-		if a.Elems <= 0 {
-			return fmt.Errorf("run: array %q has no elements", a.Name)
-		}
-	}
-	if cfg.Policy != policy.Adaptive {
-		// Cache frames tag lines below the caches' address bound.
-		return checkSpace(w, cfg)
-	}
-	// A director may pick any strategy, so admit every session the run
-	// can build.
-	for st := policy.Strategy(0); st < policy.NumStrategies; st++ {
-		if err := validate(strategyVariant(w, cfg, st)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// checkSpace lays the session for (w, cfg) out on a measuring address
-// space, which allocates nothing per element and records and names no
-// region, and rejects it when its highest line is past what the caches
-// can tag (cache.Config.MaxAddr).
-func checkSpace(w *Workload, cfg Config) error {
-	l1, _ := cacheConfigs(cfg)
-	limit := l1.MaxAddr()
-	procs := sessionProcs(cfg)
-	if _, fits := layoutSpace(mem.NewMeasure(procs), w, cfg, procs, limit); !fits {
-		return fmt.Errorf("run: workload %q needs more simulated memory than the %d GB address bound (mode %v, procs=%d)",
-			w.Name, limit>>30, cfg.Mode, cfg.Procs)
-	}
-	return nil
-}
-
-// schedFor picks the schedule for the configured mode.
-func schedFor(w *Workload, cfg Config) sched.Config {
-	if cfg.SchedOverride != nil {
-		return *cfg.SchedOverride
-	}
-	switch cfg.Mode {
-	case Ideal:
-		return w.IdealSched
-	case SW:
-		return w.SWSched
-	case HW:
-		return w.HWSched
-	}
-	return sched.Config{Kind: sched.Static}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"specrt/internal/core"
@@ -576,6 +577,52 @@ func TestDeterminism(t *testing.T) {
 	a, b := mk(), mk()
 	if a.Cycles != b.Cycles || a.Breakdown != b.Breakdown {
 		t.Fatalf("non-deterministic: %d/%d", a.Cycles, b.Cycles)
+	}
+}
+
+// TestPlanRepeatable: a plan is immutable input, which the harness memo
+// and specrtd's queue rely on. Two concurrent executions of one plan
+// return identical results for a static HW plan whose instances all
+// fail and re-execute serially, a processor-wise SW plan, and an
+// adaptive plan whose cost director switches strategy.
+func TestPlanRepeatable(t *testing.T) {
+	pw := indepLoop(core.NonPriv, 64, 64, 50)
+	pw.SWProcWise = true
+	adaptive := cfgFor(HW, 4)
+	adaptive.Policy, adaptive.Director = policy.Adaptive, policy.Cost
+	cases := []struct {
+		name string
+		w    *Workload
+		cfg  Config
+	}{
+		{"static-hw", repeated(racyLoop(32), 3), cfgFor(HW, 4)},
+		{"procwise-sw", repeated(pw, 3), cfgFor(SW, 4)},
+		{"adaptive-cost", repeated(racyLoop(32), 10), adaptive},
+	}
+	for _, tc := range cases {
+		p, err := Admit(tc.w, tc.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var res [2]*Result
+		var wg sync.WaitGroup
+		for i := range res {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res[i] = p.Execute(nil)
+			}()
+		}
+		wg.Wait()
+		if !reflect.DeepEqual(res[0], res[1]) {
+			t.Errorf("%s: two executions of one plan differ:\n%+v\n%+v", tc.name, res[0], res[1])
+		}
+		if tc.cfg.Policy == policy.Adaptive && res[0].PolicySwitches == 0 {
+			t.Errorf("%s: the director never switched strategy", tc.name)
+		}
+		if tc.cfg.Mode == HW && tc.cfg.Policy == policy.Off && res[0].Failures != tc.w.Executions {
+			t.Errorf("%s: %d of %d instances failed, want all", tc.name, res[0].Failures, tc.w.Executions)
+		}
 	}
 }
 

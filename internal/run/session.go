@@ -26,14 +26,13 @@ const grabCost = 6
 
 // session holds the simulated state for one Execute call.
 type session struct {
-	w   *Workload
-	cfg Config
+	plan *Plan // the admitted run the session belongs to
+	variant
 	m   *machine.Machine
 	ctl *core.Controller
 	chk *check.Checker // non-nil when cfg.CheckInvariants (HW mode)
 	sys *cpu.System
 
-	procs    int // participating processors
 	procIDs  []int
 	shared   []mem.Region // one per workload array
 	hwArrays []*core.Array
@@ -107,36 +106,28 @@ func cacheConfigs(cfg Config) (l1, l2 cache.Config) {
 	return l1, l2
 }
 
-// sessionProcs returns the processors a session for cfg simulates: a
-// serial run uses one.
-func sessionProcs(cfg Config) int {
-	if cfg.Mode == Serial {
-		return 1
-	}
-	return cfg.Procs
-}
-
-func newSession(w *Workload, cfg Config) *session {
-	procs := sessionProcs(cfg)
+// newSession builds the session of variant v of the plan.
+func (pl *Plan) newSession(v *variant) *session {
+	w, cfg, procs := v.w, v.cfg, v.procs
 	mcfg := machine.DefaultConfig(procs)
 	mcfg.Contention = cfg.Contention
 	mcfg.StallWrites = cfg.StallWrites
 	mcfg.Net.Kind = cfg.Topology
 	mcfg.Net.MeshW, mcfg.Net.MeshH = cfg.MeshW, cfg.MeshH
 	mcfg.DirMode = cfg.DirMode
-	mcfg.L1, mcfg.L2 = cacheConfigs(cfg)
+	mcfg.L1, mcfg.L2 = pl.l1, pl.l2
 	if cfg.HomeOccMultiplier > 1 {
 		mcfg.Lat.HomeOccLine *= cfg.HomeOccMultiplier
 		mcfg.Lat.HomeOccMsg *= cfg.HomeOccMultiplier
 	}
 	m := machine.MustNew(mcfg)
 
-	s := &session{w: w, cfg: cfg, m: m, procs: procs, bufs: make([][]cpu.Instr, procs)}
+	s := &session{plan: pl, variant: *v, m: m, bufs: make([][]cpu.Instr, procs)}
 	for p := 0; p < procs; p++ {
 		s.procIDs = append(s.procIDs, p)
 	}
 
-	// validate laid the same space out and found that it fits.
+	// Admit laid the same space out and found that it fits.
 	l, _ := layoutSpace(m.Space, w, cfg, procs, math.MaxUint64)
 	s.shared, s.backups = l.shared, l.backups
 	s.swRd, s.swWr, s.swPriv, s.swGlobal = l.swRd, l.swWr, l.swPriv, l.swGlobal
@@ -218,7 +209,7 @@ type spaceLayout struct {
 // layoutSpace lays out on sp, in address order, every region a session
 // for w under cfg uses on procs processors, and reports whether the
 // space stays within limit bytes. It is the one description of that
-// layout: newSession allocates from it and validate checks it against
+// layout: newSession allocates from it and Admit checks it against
 // the caches' address bound on a measuring space (mem.NewMeasure). It
 // stops at the first step that passes limit, so an oversized workload
 // costs little to reject and no size computation overflows.
@@ -475,13 +466,12 @@ func (s *session) runOne(exec int, res *Result) {
 }
 
 // serialReexec simulates instance exec serially on a fresh uniprocessor
-// machine with local data, per the paper's accounting ("plus the Serial
-// time", §6.2). Every re-execution gets a machine of its own: one kept
-// across re-executions would carry state, such as its memory servers'
-// backlog, from one instance into the next.
+// machine with local data, the plan's serial session, per the paper's
+// accounting ("plus the Serial time", §6.2). Every re-execution gets a
+// machine of its own: one kept across re-executions would carry state,
+// such as its memory servers' backlog, from one instance into the next.
 func (s *session) serialReexec(exec int) (sim.Time, cpu.Breakdown) {
-	r := newSession(s.w, Config{Procs: 1, Mode: Serial, Contention: s.cfg.Contention,
-		Topology: s.cfg.Topology, L1Bytes: s.cfg.L1Bytes, L2Bytes: s.cfg.L2Bytes})
+	r := s.plan.newSession(&s.plan.serial)
 	var res Result
 	r.runOne(exec, &res)
 	r.m.Release()

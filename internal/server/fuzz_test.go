@@ -7,13 +7,12 @@ import (
 	"testing"
 
 	"specrt/internal/harness"
-	"specrt/internal/run"
 )
 
 // FuzzJobAdmission drives arbitrary request bodies through the same
 // admission chain handleSubmit runs before a job is queued — JSON
-// decode, JobRequest.Spec, harness.ResolveJob, run.Validate and
-// JobSpec.Key — and requires that no input panics. Every stage may
+// decode, JobRequest.Spec, harness.Admit and JobSpec.Key — and requires
+// that no input panics. Every stage may
 // reject; only a crash or an unstable cache key is a failure.
 func FuzzJobAdmission(f *testing.F) {
 	f.Add([]byte(`{"workload":"Track","mode":"hw","procs":16,"topology":"mesh:4x4","dirmode":"coarse","policy":"adaptive","director":"cost"}`))
@@ -30,11 +29,7 @@ func FuzzJobAdmission(f *testing.F) {
 		if err != nil {
 			return
 		}
-		w, cfg, err := harness.ResolveJob(spec, harness.Quick)
-		if err != nil {
-			return
-		}
-		if err := run.Validate(w, cfg); err != nil {
+		if _, err := harness.Admit(spec, harness.Quick); err != nil {
 			return
 		}
 		key := spec.Key()

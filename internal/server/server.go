@@ -89,8 +89,8 @@ const (
 type job struct {
 	id     string
 	tenant string
-	spec   harness.JobSpec
 	key    string
+	plan   *run.Plan // admitted at submit, dropped when a worker takes the job
 
 	submitted time.Time
 	doneExecs atomic.Int64
@@ -176,7 +176,7 @@ func newServer(opts Options) *Server {
 	opts = opts.withDefaults()
 	s := &Server{
 		opts:    opts,
-		runner:  harness.NewRunner(opts.Scale, opts.Parallel),
+		runner:  harness.NewRunner(opts.Parallel),
 		cache:   newResultCache(opts.CacheEntries),
 		jobs:    make(map[string]*job),
 		tenants: make(map[string]int),
@@ -213,9 +213,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // count to verify singleflight collapse).
 func (s *Server) Runner() *harness.Runner { return s.runner }
 
-// Scale reports the harness scale jobs resolve against.
-func (s *Server) Scale() harness.Scale { return s.opts.Scale }
-
 // Drain gracefully stops the server's job processing: new submissions
 // are refused with 503, every already-accepted job runs to completion,
 // and results stay pollable. It returns the number of jobs that
@@ -244,36 +241,31 @@ func (s *Server) Draining() bool {
 
 // execute runs one queued job to completion on the runner.
 func (s *Server) execute(j *job) {
+	plan := j.plan
+	j.plan = nil
 	// A duplicate that was queued behind its twin finds the result
 	// already cached by the time a worker picks it up: serve it from
 	// the cache instead of re-simulating.
-	if result, ok := s.cache.get(j.key); ok {
+	st, errMsg := statusDone, ""
+	result, cached := s.cache.get(j.key)
+	if cached {
 		s.metrics.cacheHits.Add(1)
-		s.metrics.completed.Add(1)
-		s.metrics.latency.observe(time.Since(j.submitted))
 		j.mu.Lock()
 		j.cached = true
 		j.mu.Unlock()
-		j.finish(statusDone, result, "")
-		s.releaseTenant(j.tenant)
-		s.outstanding.Done()
-		return
-	}
-	j.setStatus(statusRunning)
-	res, err := s.runner.Run(j.spec, j.progress)
-	var result []byte
-	var st jobStatus
-	var errMsg string
-	if err == nil {
-		result, err = stats.ReportOf(res).Encode()
-	}
-	if err != nil {
-		st, errMsg = statusFailed, err.Error()
-		s.metrics.failed.Add(1)
 	} else {
-		st = statusDone
-		s.cache.put(j.key, result)
+		j.setStatus(statusRunning)
+		var err error
+		if result, err = stats.ReportOf(s.runner.Run(j.key, plan, j.progress)).Encode(); err != nil {
+			st, errMsg = statusFailed, err.Error()
+		} else {
+			s.cache.put(j.key, result)
+		}
+	}
+	if st == statusDone {
 		s.metrics.completed.Add(1)
+	} else {
+		s.metrics.failed.Add(1)
 	}
 	s.metrics.latency.observe(time.Since(j.submitted))
 	j.finish(st, result, errMsg)
@@ -326,14 +318,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	tenant := tenantOf(r)
 	key := spec.Key()
 	// A cached key was admitted when it was first simulated. A miss is
-	// resolved and validated up front so admission errors are 400s, not
-	// failed jobs.
+	// admitted up front, so admission errors are 400s, not failed jobs,
+	// and the worker runs the plan admitted here.
 	result, cached := s.cache.get(key)
+	var plan *run.Plan
 	if !cached {
-		wl, cfg, err := harness.ResolveJob(spec, s.opts.Scale)
-		if err == nil {
-			err = run.Validate(wl, cfg)
-		}
+		plan, err = harness.Admit(spec, s.opts.Scale)
 		if err != nil {
 			s.metrics.badRequest.Add(1)
 			writeError(w, http.StatusBadRequest, "%v", err)
@@ -358,7 +348,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if cached {
 		id := s.newJobIDLocked()
 		j := &job{
-			id: id, tenant: tenant, spec: spec, key: key,
+			id: id, tenant: tenant, key: key,
 			submitted: time.Now(), status: statusDone, cached: true,
 			result: result, done: make(chan struct{}),
 		}
@@ -387,7 +377,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	id := s.newJobIDLocked()
 	j := &job{
-		id: id, tenant: tenant, spec: spec, key: key,
+		id: id, tenant: tenant, key: key, plan: plan,
 		submitted: time.Now(), status: statusQueued, done: make(chan struct{}),
 	}
 	s.jobs[id] = j
